@@ -7,101 +7,54 @@ rewriting through a fixed integer matrix, so the deep iterations run as an
 exact big-integer power iteration instead of on literal words.
 """
 
-from .counting import CountVector, count_word, iterate_counts, step_counts, verify_commutation
-from .errors import (
-    DegreeTooSmallError,
-    DimensionMismatchError,
-    EmptyInputError,
-    EngineOverflowError,
-    IndexOutOfRangeError,
-    NonIntegerCoefficientError,
-    NotMonicError,
-    PolynomialSyntaxError,
-    SymrootError,
-    ZeroDegreeError,
-)
+from .counting import CountVector, count_word, iterate_counts, verify_commutation
+from .errors import EngineOverflowError, SymrootError
 from .estimation import (
-    DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
-    ConvergenceReport,
-    RatioEstimate,
     Status,
     eigenvector_profile_check,
     estimate_root,
     oracle_largest_real_root,
     ratio_estimates,
 )
-from .polynomial import (
-    IterationMatrix,
-    MonicPolynomial,
-    companion_matrix,
-    from_coefficients,
-    iteration_matrix,
-    parse_polynomial,
-)
+from .polynomial import from_coefficients, iteration_matrix, parse_polynomial
 from .rewriting import (
     MINUS,
     PLUS,
-    WORD_CAP_DEFAULT,
-    Letter,
-    ReplacementRule,
     RleWord,
     Word,
-    apply_rule_letter,
     build_rule,
     default_initial_word,
     iterate_words,
     letter,
     rewrite,
-    signed_power,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
     "SymrootError",
-    "PolynomialSyntaxError",
-    "NotMonicError",
-    "NonIntegerCoefficientError",
-    "ZeroDegreeError",
-    "EmptyInputError",
-    "DegreeTooSmallError",
-    "IndexOutOfRangeError",
-    "DimensionMismatchError",
     "EngineOverflowError",
-    "MonicPolynomial",
-    "IterationMatrix",
     "parse_polynomial",
     "from_coefficients",
     "iteration_matrix",
-    "companion_matrix",
     "PLUS",
     "MINUS",
-    "WORD_CAP_DEFAULT",
-    "Letter",
     "letter",
     "Word",
     "RleWord",
-    "ReplacementRule",
-    "signed_power",
     "build_rule",
-    "apply_rule_letter",
     "rewrite",
     "iterate_words",
     "default_initial_word",
     "CountVector",
     "count_word",
-    "step_counts",
     "iterate_counts",
     "verify_commutation",
     "Status",
-    "RatioEstimate",
-    "ConvergenceReport",
     "ratio_estimates",
     "estimate_root",
     "oracle_largest_real_root",
     "eigenvector_profile_check",
     "DEFAULT_TOL",
-    "DEFAULT_MAX_ITERS",
 ]

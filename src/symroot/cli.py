@@ -3,8 +3,8 @@
 Exit codes: 0 converged (and the oracle, when consulted, agrees), 1 a verify
 check found a counterexample, 2 the ratios did not settle (NoRealLimit,
 MaxIterationsReached, DegenerateStart), 3 bad input or options, 4 converged
-but on a root other than the oracle's largest real root, 5 a word engine hit
-its length cap.
+but on a root other than the oracle's largest real root, 5 trace/verify hit
+the word-length cap.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import CountVector, count_word, iterate_counts, verify_commutation
@@ -33,26 +32,9 @@ from .rewriting import (
     rewrite,
 )
 
-__all__ = ["RunConfig", "main", "cmd_run", "cmd_trace", "cmd_verify"]
+__all__ = ["main"]
 
 _SIGNS = (PLUS, MINUS)
-
-
-@dataclass
-class RunConfig:
-    """One invocation's worth of settings; the parser has already validated
-    ranges (tol > 0, depth >= 0, exactly one polynomial source)."""
-
-    polynomial: MonicPolynomial
-    engine: str = "counts"
-    max_iters: int = DEFAULT_MAX_ITERS
-    tol: Fraction = DEFAULT_TOL
-    out_format: str = "table"
-    depth: int = 6
-    samples: int = 1000
-    seed: int = 1
-    use_oracle: bool = True
-    word_cap: int = WORD_CAP_DEFAULT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,12 +92,10 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="iterate and report convergence")
     _add_poly_args(run)
-    run.add_argument("--engine", choices=("counts", "word", "rle"), default="counts")
     run.add_argument("--iters", type=_positive_int, default=DEFAULT_MAX_ITERS, metavar="N")
     run.add_argument("--tol", type=_positive_fraction, default=DEFAULT_TOL, metavar="DECIMAL")
     run.add_argument("--format", choices=("table", "json", "tsv"), default="table")
     run.add_argument("--no-oracle", action="store_true", help="skip the numeric cross-check")
-    run.add_argument("--word-cap", type=_positive_int, default=WORD_CAP_DEFAULT, metavar="N")
 
     trace = sub.add_parser("trace", help="print the first words of the rewriting sequence")
     _add_poly_args(trace)
@@ -146,32 +126,13 @@ def _polynomial_from_args(args) -> MonicPolynomial:
     return parse_polynomial(args.poly)
 
 
-def _config_from_args(args) -> RunConfig:
-    config = RunConfig(polynomial=_polynomial_from_args(args))
-    for name, attr in (
-        ("engine", "engine"),
-        ("max_iters", "iters"),
-        ("tol", "tol"),
-        ("out_format", "format"),
-        ("depth", "depth"),
-        ("samples", "samples"),
-        ("seed", "seed"),
-        ("word_cap", "word_cap"),
-    ):
-        if hasattr(args, attr):
-            setattr(config, name, getattr(args, attr))
-    if getattr(args, "no_oracle", False):
-        config.use_oracle = False
-    return config
-
-
 def _float_text(value: Fraction) -> str:
     return f"{float(value):.17g}"
 
 
-def _print_table(report: ConvergenceReport, engine: str) -> None:
+def _print_table(report: ConvergenceReport) -> None:
     print(f"polynomial: {report.polynomial.render()}")
-    print(f"engine: {engine}")
+    print("engine: counts")
     print(f"{'iter':>6}  {'j':>3}  {'ratio':<24}  exact")
     for i, ests in enumerate(report.history):
         if not ests:
@@ -202,25 +163,16 @@ def _print_tsv(report: ConvergenceReport) -> None:
             print(f"{i}\t{r.j}\t{r.numerator}\t{r.denominator}\t{_float_text(r.value)}")
 
 
-def cmd_run(config: RunConfig) -> int:
-    try:
-        report = estimate_root(
-            config.polynomial,
-            max_iters=config.max_iters,
-            tol=config.tol,
-            engine=config.engine,
-            compare_oracle=config.use_oracle,
-            word_cap=config.word_cap,
-        )
-    except EngineOverflowError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
-    if config.out_format == "json":
+def cmd_run(p: MonicPolynomial, args) -> int:
+    report = estimate_root(
+        p, max_iters=args.iters, tol=args.tol, compare_oracle=not args.no_oracle
+    )
+    if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2))
-    elif config.out_format == "tsv":
+    elif args.format == "tsv":
         _print_tsv(report)
     else:
-        _print_table(report, config.engine)
+        _print_table(report)
     if report.status is Status.CONVERGED:
         return 4 if report.oracle_agreement is False else 0
     return 2
@@ -231,14 +183,13 @@ def _trace_line(w, m: int) -> str:
     return f"{w.render()}  n=({', '.join(str(x) for x in counts.n)})"
 
 
-def cmd_trace(config: RunConfig) -> int:
-    p = config.polynomial
+def cmd_trace(p: MonicPolynomial, args) -> int:
     rule = build_rule(p)
     w0 = default_initial_word()
-    if config.engine == "rle":
+    if args.engine == "rle":
         w0 = RleWord.compress(w0)
     try:
-        words = iterate_words(rule, w0, config.depth, cap=config.word_cap)
+        words = iterate_words(rule, w0, args.depth, cap=args.word_cap)
     except EngineOverflowError as e:
         for w in e.partial:
             print(_trace_line(w, p.degree))
@@ -249,28 +200,28 @@ def cmd_trace(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    p = config.polynomial
+def cmd_verify(p: MonicPolynomial, args) -> int:
     rule = build_rule(p)
     m = p.degree
-    rng = random.Random(config.seed)
+    cap = args.word_cap
+    rng = random.Random(args.seed)
     print(f"polynomial: {p.render()}")
-    print(f"samples: {config.samples}  seed: {config.seed}")
-    for i in range(config.samples):
+    print(f"samples: {args.samples}  seed: {args.seed}")
+    for i in range(args.samples):
         length = rng.randint(0, 50)
         w = Word(tuple(letter(rng.randint(1, m), rng.choice(_SIGNS)) for _ in range(length)))
-        if not verify_commutation(rule, w, cap=config.word_cap):
+        if not verify_commutation(rule, w, cap=cap):
             print("FAIL: counting does not commute with rewriting")
             print(f"counterexample (sample {i}): {w.render()}")
             print(f"n(W) = {count_word(w, m).n}")
-            print(f"n(rewrite(W)) = {count_word(rewrite(rule, w, cap=config.word_cap), m).n}")
+            print(f"n(rewrite(W)) = {count_word(rewrite(rule, w, cap=cap), m).n}")
             return 1
-    print(f"commutation: {config.samples}/{config.samples} exact")
+    print(f"commutation: {args.samples}/{args.samples} exact")
 
-    words = iterate_words(rule, default_initial_word(), config.depth, cap=config.word_cap)
-    rles = iterate_words(rule, RleWord.compress(default_initial_word()), config.depth, cap=config.word_cap)
-    counts = iterate_counts(iteration_matrix(p), CountVector.unit(m), config.depth)
-    for k in range(config.depth + 1):
+    words = iterate_words(rule, default_initial_word(), args.depth, cap=cap)
+    rles = iterate_words(rule, RleWord.compress(default_initial_word()), args.depth, cap=cap)
+    counts = iterate_counts(iteration_matrix(p), CountVector.unit(m), args.depth)
+    for k in range(args.depth + 1):
         cw = count_word(words[k], m)
         cr = count_word(rles[k], m)
         if cw != counts[k] or cr != counts[k]:
@@ -279,7 +230,7 @@ def cmd_verify(config: RunConfig) -> int:
             print(f"rle engine:    {cr.n}")
             print(f"counts engine: {counts[k].n}")
             return 1
-    print(f"engines: word, rle, counts identical through depth {config.depth}")
+    print(f"engines: word, rle, counts identical through depth {args.depth}")
     print("PASS")
     return 0
 
@@ -310,12 +261,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 3
     try:
-        config = _config_from_args(args)
+        p = _polynomial_from_args(args)
         if args.command == "run":
-            return cmd_run(config)
+            return cmd_run(p, args)
         if args.command == "trace":
-            return cmd_trace(config)
-        return cmd_verify(config)
+            return cmd_trace(p, args)
+        return cmd_verify(p, args)
     except EngineOverflowError as e:
         print(f"error: {e}", file=sys.stderr)
         return 5

@@ -16,13 +16,7 @@ from .errors import DimensionMismatchError, IndexOutOfRangeError, NonIntegerCoef
 from .polynomial import IterationMatrix, iteration_matrix
 from .rewriting import WORD_CAP_DEFAULT, ReplacementRule, RleWord, rewrite
 
-__all__ = [
-    "CountVector",
-    "count_word",
-    "step_counts",
-    "iterate_counts",
-    "verify_commutation",
-]
+__all__ = ["CountVector", "count_word", "iterate_counts", "verify_commutation"]
 
 
 @dataclass(frozen=True)
@@ -87,16 +81,14 @@ def count_word(w, m: int) -> CountVector:
 def step_counts(M: IterationMatrix, v: CountVector) -> CountVector:
     """Exact matrix action of one rewrite step on a count vector.
 
-    Row 1 is read in full; rows 2..m are read only at their two stored
-    band entries (columns i-1 and i), the sparsity iteration matrices
-    actually have. Cost is O(m) big-integer operations.
+    Row 1 is read in full; rows 2..m are read at their two band entries
+    (columns i-1 and i). Cost is O(m) big-integer operations.
     """
     if M.m != v.m:
         raise DimensionMismatchError(f"matrix is {M.m}x{M.m}, vector has {v.m} entries")
-    e = M.entries
     n = v.n
-    first = sum(e[0][j] * n[j] for j in range(M.m))
-    rest = (e[i][i - 1] * n[i - 1] + e[i][i] * n[i] for i in range(1, M.m))
+    first = sum(r * x for r, x in zip(M.first_row, n))
+    rest = (s * lo + d * hi for s, d, lo, hi in zip(M.sub, M.diag, n, n[1:]))
     return CountVector((first, *rest))
 
 

@@ -16,31 +16,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .counting import CountVector, count_word, step_counts
-from .errors import (
-    DegreeTooSmallError,
-    DimensionMismatchError,
-    EngineOverflowError,
-)
+from .counting import CountVector, step_counts
+from .errors import DegreeTooSmallError, DimensionMismatchError
 from .polynomial import MonicPolynomial, iteration_matrix
-from .rewriting import (
-    MINUS,
-    PLUS,
-    WORD_CAP_DEFAULT,
-    RleWord,
-    Word,
-    build_rule,
-    default_initial_word,
-    letter,
-    rewrite,
-)
 
 __all__ = [
     "DEFAULT_TOL",
-    "DEFAULT_MAX_ITERS",
     "Status",
-    "RatioEstimate",
-    "ConvergenceReport",
     "ratio_estimates",
     "estimate_root",
     "oracle_largest_real_root",
@@ -50,7 +32,6 @@ __all__ = [
 DEFAULT_TOL = Fraction(1, 10**12)
 DEFAULT_MAX_ITERS = 256
 
-_ENGINES = ("counts", "word", "rle")
 _WINDOW = 8        # trailing iterations examined when the cap is reached
 _WINDOW_SLACK = 10  # changes above _WINDOW_SLACK * tol in that window mean "not settling"
 
@@ -202,38 +183,25 @@ def _window_rules_out_limit(history, m: int, tol: Fraction) -> bool:
     return False
 
 
-def _word_from_counts(v: CountVector) -> Word:
-    out = []
-    for j, x in enumerate(v.n, start=1):
-        if x != 0:
-            out.extend([letter(j, PLUS if x > 0 else MINUS)] * abs(x))
-    return Word(tuple(out))
-
-
 def estimate_root(
     p: MonicPolynomial,
     *,
     initial: CountVector | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol=DEFAULT_TOL,
-    engine: str = "counts",
     compare_oracle: bool = True,
     oracle_precision=None,
-    word_cap: int = WORD_CAP_DEFAULT,
 ) -> ConvergenceReport:
     """Iterate the count map and read the root off the settling ratios.
 
-    The word and rle engines rewrite an actual word each step and count it;
-    the counts engine applies the iteration matrix directly. All three see
-    identical count vectors while the word engines stay under their cap.
+    Each step applies the iteration matrix to the m letter counts; the
+    literal words those counts belong to are never built.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not isinstance(max_iters, int) or isinstance(max_iters, bool) or max_iters < 1:
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
     if initial is not None and initial.m != p.degree:
         raise DimensionMismatchError(
             f"initial vector has {initial.m} entries, polynomial degree is {p.degree}"
@@ -264,16 +232,8 @@ def estimate_root(
             note="degree 1: the root equals a_1 exactly; no ratio iteration needed",
         )
 
-    matrix = rule = word = None
-    if engine == "counts":
-        matrix = iteration_matrix(p)
-        v = initial if initial is not None else CountVector.unit(p.degree)
-    else:
-        rule = build_rule(p)
-        word = _word_from_counts(initial) if initial is not None else default_initial_word()
-        if engine == "rle":
-            word = RleWord.compress(word)
-        v = count_word(word, p.degree)
+    matrix = iteration_matrix(p)
+    v = initial if initial is not None else CountVector.unit(p.degree)
 
     history: list[tuple[RatioEstimate, ...]] = []
     directions: dict[tuple[int, ...], int] = {}
@@ -308,16 +268,7 @@ def estimate_root(
 
         est_prev = ests
         k += 1
-        if engine == "counts":
-            v = step_counts(matrix, v)
-        else:
-            try:
-                word = rewrite(rule, word, cap=word_cap)
-            except EngineOverflowError as e:
-                raise EngineOverflowError(
-                    f"{engine} engine at iteration {k}: {e}", depth=k
-                ) from None
-            v = count_word(word, p.degree)
+        v = step_counts(matrix, v)
 
     final = None
     oracle_root = agreement = discrepancy = None

@@ -20,14 +20,7 @@ from .errors import (
     ZeroDegreeError,
 )
 
-__all__ = [
-    "MonicPolynomial",
-    "IterationMatrix",
-    "parse_polynomial",
-    "from_coefficients",
-    "iteration_matrix",
-    "companion_matrix",
-]
+__all__ = ["parse_polynomial", "from_coefficients", "iteration_matrix"]
 
 
 def _exact_int(value, context: str) -> int:
@@ -101,33 +94,36 @@ def _power_text(k: int) -> str:
 
 @dataclass(frozen=True)
 class IterationMatrix:
-    """Square exact-integer matrix acting on count vectors.
+    """The band of an m x m count-step matrix: every entry step_counts reads.
 
-    Only shape and integrality are enforced by the type. The
-    identity-plus-companion layout is a guarantee of iteration_matrix(),
-    not of the type, so tests can build deliberately broken matrices for
-    harness sanity checks.
+    first_row is row 1 in full; sub and diag hold the sub-diagonal and
+    diagonal entries of rows 2..m (m - 1 each); every other entry is zero.
+    The type enforces only shape and integrality. The identity-plus-companion
+    values are a guarantee of iteration_matrix(), not of the type, so tests
+    can build deliberately tampered bands for harness sanity checks.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    first_row: tuple[int, ...]
+    sub: tuple[int, ...]
+    diag: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(
-            tuple(_exact_int(v, f"entries[{i}][{j}]") for j, v in enumerate(row))
-            for i, row in enumerate(self.entries)
-        )
-        if not rows:
-            raise EmptyInputError("matrix has no rows")
-        if any(len(row) != len(rows) for row in rows):
-            raise DimensionMismatchError(
-                f"matrix must be square; got {len(rows)} rows of lengths "
-                f"{[len(row) for row in rows]}"
+        for name in ("first_row", "sub", "diag"):
+            values = tuple(
+                _exact_int(v, f"{name}[{j}]") for j, v in enumerate(getattr(self, name))
             )
-        object.__setattr__(self, "entries", rows)
+            object.__setattr__(self, name, values)
+        if not self.first_row:
+            raise EmptyInputError("matrix has no rows")
+        if len(self.sub) != self.m - 1 or len(self.diag) != self.m - 1:
+            raise DimensionMismatchError(
+                f"a {self.m}x{self.m} band needs {self.m - 1} sub-diagonal and diagonal "
+                f"entries; got {len(self.sub)} and {len(self.diag)}"
+            )
 
     @property
     def m(self) -> int:
-        return len(self.entries)
+        return len(self.first_row)
 
 
 def parse_polynomial(text: str) -> MonicPolynomial:
@@ -230,27 +226,12 @@ def from_coefficients(c) -> MonicPolynomial:
     return MonicPolynomial(tuple(-seq[m - i] for i in range(1, m + 1)))
 
 
-def companion_matrix(p: MonicPolynomial) -> tuple[tuple[int, ...], ...]:
-    """Standard companion matrix: first row a_1..a_m, ones on the subdiagonal."""
-    m = p.degree
-    return tuple(
-        tuple(p.a[j] if i == 0 else (1 if j == i - 1 else 0) for j in range(m))
-        for i in range(m)
-    )
-
-
 def iteration_matrix(p: MonicPolynomial) -> IterationMatrix:
-    """Identity plus the companion matrix of p.
+    """Identity plus the companion matrix of p, as its band.
 
     Row 1 is (1 + a_1, a_2, ..., a_m); every later row i has ones at
     columns i-1 and i and zeros elsewhere. One rewriting step acts on
     count vectors as this matrix.
     """
-    comp = companion_matrix(p)
-    m = p.degree
-    return IterationMatrix(
-        tuple(
-            tuple(comp[i][j] + (1 if i == j else 0) for j in range(m))
-            for i in range(m)
-        )
-    )
+    ones = (1,) * (p.degree - 1)
+    return IterationMatrix((1 + p.a[0],) + p.a[1:], ones, ones)

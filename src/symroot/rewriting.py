@@ -18,15 +18,10 @@ from .polynomial import MonicPolynomial
 __all__ = [
     "PLUS",
     "MINUS",
-    "WORD_CAP_DEFAULT",
-    "Letter",
     "letter",
     "Word",
     "RleWord",
-    "ReplacementRule",
-    "signed_power",
     "build_rule",
-    "apply_rule_letter",
     "rewrite",
     "iterate_words",
     "default_initial_word",
@@ -184,12 +179,12 @@ class ReplacementRule:
     images: dict
 
     def __post_init__(self) -> None:
-        # precomputed literal expansions keep the word engine off the
-        # per-letter Python slow path
-        expanded = {l: img.expand().letters for l, img in self.images.items()}
+        # image lengths let rewrite check its cap before building anything;
+        # literal images are expanded only once a rewrite that uses them has
+        # passed that check, so a huge coefficient costs nothing until then
         lengths = {l: img.letter_count for l, img in self.images.items()}
-        object.__setattr__(self, "_expanded", expanded)
         object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_expanded", {})
 
     @property
     def m(self) -> int:
@@ -223,57 +218,37 @@ def build_rule(p: MonicPolynomial) -> ReplacementRule:
     return ReplacementRule(p, images)
 
 
-def apply_rule_letter(rule: ReplacementRule, l: Letter) -> RleWord:
-    """The stored image of one letter, never mutated."""
-    return rule.image(l)
-
-
-def _predicted_length(rule: ReplacementRule, w) -> int:
+def _check_cap(rule: ReplacementRule, pairs, cap: int) -> None:
+    # the output length follows from (letter, multiplicity) pairs alone
     lengths = rule._lengths
     try:
-        if isinstance(w, RleWord):
-            return sum(k * lengths[l] for l, k in w.runs)
-        counts = Counter(w.letters)
-        return sum(k * lengths[l] for l, k in counts.items())
+        predicted = sum(k * lengths[l] for l, k in pairs)
     except KeyError as e:
         raise IndexOutOfRangeError(
             f"letter {e.args[0]} is outside the rule's alphabet (m = {rule.m})"
         ) from None
+    if predicted > cap:
+        raise EngineOverflowError(
+            f"rewrite would produce {predicted} letters, over the cap of {cap}; "
+            "use the counts engine for deep iteration"
+        )
 
 
 def rewrite(rule: ReplacementRule, w, cap: int = WORD_CAP_DEFAULT):
     """One parallel replacement step; output representation matches the input.
 
     The output length is known from letter counts alone, so the cap is
-    checked before anything is materialized.
+    checked before anything is materialized. An RleWord is rewritten as its
+    expansion and compressed again; normal form makes the result unique.
     """
-    predicted = _predicted_length(rule, w)
-    if predicted > cap:
-        raise EngineOverflowError(
-            f"rewrite would produce {predicted} letters, over the cap of {cap}; "
-            "use the counts engine for deep iteration"
-        )
     if isinstance(w, RleWord):
-        out: list[list] = []
-
-        def put(l: Letter, k: int) -> None:
-            if out and out[-1][0] == l:
-                out[-1][1] += k
-            else:
-                out.append([l, k])
-
-        for l, k in w.runs:
-            img = rule.images[l].runs
-            if len(img) == 1:
-                b, n0 = img[0]
-                put(b, n0 * k)
-            else:
-                for _ in range(k):
-                    for b, n0 in img:
-                        put(b, n0)
-        return RleWord(tuple((l, k) for l, k in out))
-
+        _check_cap(rule, w.runs, cap)
+        return RleWord.compress(rewrite(rule, w.expand(), cap))
+    counts = Counter(w.letters)
+    _check_cap(rule, counts.items(), cap)
     expanded = rule._expanded
+    for l in counts.keys() - expanded.keys():
+        expanded[l] = rule.images[l].expand().letters
     out_letters: list[Letter] = []
     for l in w.letters:
         out_letters.extend(expanded[l])

@@ -102,7 +102,6 @@ def test_run_exit_codes():
     assert main(["run", "--poly", "x^2 + 3x + 1", "--no-oracle"]) == 0
     assert main(["run", "--poly", "x^2 + 2x + 1"]) == 2  # DegenerateStart mid-run
     assert main(["run", "--poly", "x^2 - x - 1", "--iters", "8"]) == 2  # budget too small
-    assert main(["run", "--poly", "x^2 - x - 1", "--engine", "word", "--word-cap", "50"]) == 5
 
 
 def test_run_dominance_failure_message(capsys):
@@ -205,14 +204,15 @@ def test_verify_seed_changes_words_not_verdict(capsys):
 
 
 def test_verify_fault_injection_exits_one(capsys, monkeypatch):
+    import dataclasses
+
     import symroot.counting as counting
-    from symroot.polynomial import IterationMatrix, iteration_matrix as real_matrix
+    from symroot.polynomial import iteration_matrix as real_matrix
 
     def tampered(p):
         M = real_matrix(p)
-        rows = [list(r) for r in M.entries]
-        rows[1][0] += 1  # flip one subdiagonal entry
-        return IterationMatrix(tuple(tuple(r) for r in rows))
+        # one sub-diagonal entry of the band off by one
+        return dataclasses.replace(M, sub=(M.sub[0] + 1,) + M.sub[1:])
 
     monkeypatch.setattr(counting, "iteration_matrix", tampered)
     code, out, _ = run_cli(capsys, "verify", "--poly", "x^2 - x - 1", "--samples", "100", "--seed", "7")
@@ -221,19 +221,31 @@ def test_verify_fault_injection_exits_one(capsys, monkeypatch):
     assert "counterexample" in out
 
 
-def test_run_word_engine_matches_counts(capsys):
-    code1, out1, _ = run_cli(
-        capsys, "run", "--poly", "x^2 - x - 1", "--engine", "word", "--iters", "8", "--format", "tsv"
-    )
-    code2, out2, _ = run_cli(
-        capsys, "run", "--poly", "x^2 - x - 1", "--engine", "counts", "--iters", "8", "--format", "tsv"
-    )
-    assert code1 == code2 == 2
-    assert out1 == out2
-
-
 def test_degree_one_run(capsys):
     code, out, _ = run_cli(capsys, "run", "--poly", "x - 2")
     assert code == 0
     assert "note: degree 1" in out
     assert "final: 2 = 2/1" in out
+
+
+HUGE = "-1,-1000000000000000000000000000000,1"  # x^2 - 10^30 x - 1
+
+
+def test_huge_coefficient_trace_depth_zero(capsys):
+    # the rule's image of 1+ has 10^30 + 2 letters; it must never be built
+    code, out, err = run_cli(capsys, "trace", f"--coeffs={HUGE}", "--depth", "0")
+    assert code == 0
+    assert out.splitlines() == ["1+  n=(1, 0)"]
+    assert "Traceback" not in err
+
+
+def test_huge_coefficient_hits_the_word_cap(capsys):
+    for argv in (
+        ("trace", f"--coeffs={HUGE}", "--depth", "1"),
+        ("trace", f"--coeffs={HUGE}", "--depth", "1", "--engine", "rle"),
+        ("verify", "--poly", "x^2 - 1000000000000000000000000000000x - 1"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 5, argv
+        assert "over the cap" in err
+        assert "Traceback" not in err

@@ -5,8 +5,6 @@ from symroot import (
     MINUS,
     PLUS,
     CountVector,
-    IndexOutOfRangeError,
-    MonicPolynomial,
     RleWord,
     Word,
     build_rule,
@@ -17,10 +15,11 @@ from symroot import (
     iteration_matrix,
     letter,
     rewrite,
-    step_counts,
     verify_commutation,
 )
-from symroot.errors import DimensionMismatchError
+from symroot.counting import step_counts
+from symroot.errors import DimensionMismatchError, IndexOutOfRangeError
+from symroot.polynomial import IterationMatrix, MonicPolynomial
 
 
 def w(text: str) -> Word:
@@ -64,6 +63,8 @@ def test_step_counts_examples():
     M2 = iteration_matrix(MonicPolynomial((3, -1)))
     assert step_counts(M2, CountVector((4, 1))) == CountVector((15, 5))
     assert step_counts(M2, CountVector.zero(2)) == CountVector.zero(2)
+    # a tampered band: sub-diagonal entries weigh n_(i-1), diagonal ones n_i
+    assert step_counts(IterationMatrix((1, 0), (2,), (3,)), CountVector((5, 7))) == CountVector((5, 31))
 
 
 def test_step_counts_dimension_mismatch():

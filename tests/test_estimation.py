@@ -5,9 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from symroot import (
     CountVector,
-    DegreeTooSmallError,
-    EngineOverflowError,
-    MonicPolynomial,
     Status,
     eigenvector_profile_check,
     estimate_root,
@@ -17,6 +14,8 @@ from symroot import (
     parse_polynomial,
     ratio_estimates,
 )
+from symroot.errors import DegreeTooSmallError
+from symroot.polynomial import MonicPolynomial
 
 GOLDEN = parse_polynomial("x^2 - x - 1")
 TOL = Fraction(1, 10**12)
@@ -111,26 +110,6 @@ def test_invalid_options_rejected():
         estimate_root(GOLDEN, tol=0)
     with pytest.raises(ValueError):
         estimate_root(GOLDEN, max_iters=0)
-    with pytest.raises(ValueError):
-        estimate_root(GOLDEN, engine="quantum")
-
-
-def test_word_engines_match_counts_engine_histories():
-    for engine in ("word", "rle"):
-        a = estimate_root(GOLDEN, engine=engine, max_iters=8)
-        b = estimate_root(GOLDEN, engine="counts", max_iters=8)
-        assert a.status is b.status is Status.MAX_ITERATIONS_REACHED
-        assert [
-            [(r.j, r.numerator, r.denominator) for r in ests] for ests in a.history
-        ] == [[(r.j, r.numerator, r.denominator) for r in ests] for ests in b.history]
-
-
-def test_word_engine_overflow_carries_iteration():
-    with pytest.raises(EngineOverflowError) as e:
-        estimate_root(GOLDEN, engine="word", word_cap=50)
-    assert e.value.depth is not None
-    with pytest.raises(EngineOverflowError):
-        estimate_root(GOLDEN, engine="rle", word_cap=50)
 
 
 def test_convergence_residual_bound():

@@ -3,20 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from symroot import (
+from symroot import CountVector, from_coefficients, iteration_matrix, parse_polynomial
+from symroot.counting import step_counts
+from symroot.errors import (
+    DimensionMismatchError,
     EmptyInputError,
-    IterationMatrix,
-    MonicPolynomial,
     NonIntegerCoefficientError,
     NotMonicError,
     PolynomialSyntaxError,
     ZeroDegreeError,
-    companion_matrix,
-    from_coefficients,
-    iteration_matrix,
-    parse_polynomial,
 )
-from symroot.errors import DimensionMismatchError
+from symroot.polynomial import IterationMatrix, MonicPolynomial
 
 
 def test_parse_golden():
@@ -97,25 +94,27 @@ def test_from_coefficients_errors():
 
 
 def test_iteration_matrix_examples():
-    assert iteration_matrix(MonicPolynomial((1, 1))).entries == ((2, 1), (1, 1))
-    assert iteration_matrix(MonicPolynomial((2,))).entries == ((3,),)
-    assert iteration_matrix(MonicPolynomial((0, 1, 1))).entries == (
-        (1, 1, 1),
-        (1, 1, 0),
-        (0, 1, 1),
+    assert iteration_matrix(MonicPolynomial((1, 1))) == IterationMatrix((2, 1), (1,), (1,))
+    assert iteration_matrix(MonicPolynomial((2,))) == IterationMatrix((3,), (), ())
+    assert iteration_matrix(MonicPolynomial((0, 1, 1))) == IterationMatrix(
+        (1, 1, 1), (1, 1), (1, 1)
     )
 
 
 def test_iteration_matrix_type_checks_shape_only():
-    # deliberately broken layouts must be constructible for harness tests
-    M = IterationMatrix(((5, 5), (5, 5)))
+    # deliberately tampered bands must be constructible for harness tests
+    M = IterationMatrix((5, 5), (5,), (5,))
     assert M.m == 2
     with pytest.raises(DimensionMismatchError):
-        IterationMatrix(((1, 2), (3,)))
+        IterationMatrix((1, 2), (3,), ())
+    with pytest.raises(DimensionMismatchError):
+        IterationMatrix((1,), (1,), (1,))
     with pytest.raises(EmptyInputError):
-        IterationMatrix(())
+        IterationMatrix((), (), ())
     with pytest.raises(NonIntegerCoefficientError):
-        IterationMatrix(((1.5,),))
+        IterationMatrix((1.5,), (), ())
+    with pytest.raises(NonIntegerCoefficientError):
+        IterationMatrix((1, 1), (True,), (1,))
 
 
 def test_eval_at():
@@ -148,13 +147,13 @@ def test_round_trip_through_text(a):
     assert parse_polynomial(p.render()) == p
 
 
-@given(coeff_lists)
-def test_iteration_matrix_is_identity_plus_companion(a):
+@given(coeff_lists, st.lists(st.integers(-10**30, 10**30), min_size=8, max_size=8))
+def test_iteration_matrix_is_identity_plus_companion(a, raw):
+    # the band must act exactly as the dense identity plus companion matrix
     p = MonicPolynomial(tuple(a))
-    M = iteration_matrix(p)
-    comp = companion_matrix(p)
     m = p.degree
-    for i in range(m):
-        for j in range(m):
-            assert M.entries[i][j] - (1 if i == j else 0) == comp[i][j]
-    assert M.entries[0] == (1 + p.a[0],) + p.a[1:]
+    companion = [[p.a[j] if i == 0 else int(j == i - 1) for j in range(m)] for i in range(m)]
+    dense = [[companion[i][j] + int(i == j) for j in range(m)] for i in range(m)]
+    v = CountVector(tuple(raw[:m]))
+    product = tuple(sum(dense[i][j] * v.n[j] for j in range(m)) for i in range(m))
+    assert step_counts(iteration_matrix(p), v).n == product

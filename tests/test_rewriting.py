@@ -5,18 +5,17 @@ from symroot import (
     MINUS,
     PLUS,
     EngineOverflowError,
-    IndexOutOfRangeError,
-    MonicPolynomial,
     RleWord,
     Word,
-    apply_rule_letter,
     build_rule,
     default_initial_word,
     iterate_words,
     letter,
     rewrite,
-    signed_power,
 )
+from symroot.errors import IndexOutOfRangeError
+from symroot.polynomial import MonicPolynomial
+from symroot.rewriting import signed_power
 
 
 def w(text: str) -> Word:
@@ -38,34 +37,34 @@ def test_signed_power_cases():
 
 def test_build_rule_golden():
     rule = build_rule(MonicPolynomial((1, 1)))
-    assert apply_rule_letter(rule, letter(1, PLUS)).expand() == w("1+ 1+ 2+")
-    assert apply_rule_letter(rule, letter(2, PLUS)).expand() == w("1+ 2+")
+    assert rule.image(letter(1, PLUS)).expand() == w("1+ 1+ 2+")
+    assert rule.image(letter(2, PLUS)).expand() == w("1+ 2+")
 
 
 def test_build_rule_negative_coefficient():
     rule = build_rule(MonicPolynomial((3, -1)))
-    assert apply_rule_letter(rule, letter(2, PLUS)).expand() == w("1- 2+")
-    assert apply_rule_letter(rule, letter(2, MINUS)).expand() == w("1+ 2-")
+    assert rule.image(letter(2, PLUS)).expand() == w("1- 2+")
+    assert rule.image(letter(2, MINUS)).expand() == w("1+ 2-")
 
 
 def test_build_rule_zero_power_vanishes():
     rule = build_rule(MonicPolynomial((0, 0, 2)))
-    assert apply_rule_letter(rule, letter(1, PLUS)).expand() == w("1+ 2+")
-    assert apply_rule_letter(rule, letter(3, PLUS)).expand() == w("1+ 1+ 3+")
+    assert rule.image(letter(1, PLUS)).expand() == w("1+ 2+")
+    assert rule.image(letter(3, PLUS)).expand() == w("1+ 1+ 3+")
 
 
 def test_minus_images_are_sign_flips():
     rule = build_rule(MonicPolynomial((2, -3, 5)))
     for i in (1, 2, 3):
-        plus = apply_rule_letter(rule, letter(i, PLUS))
-        minus = apply_rule_letter(rule, letter(i, MINUS))
+        plus = rule.image(letter(i, PLUS))
+        minus = rule.image(letter(i, MINUS))
         assert minus == plus.flipped()
 
 
-def test_apply_rule_letter_out_of_range():
+def test_rule_image_out_of_range():
     rule = build_rule(MonicPolynomial((1, 1)))
     with pytest.raises(IndexOutOfRangeError):
-        apply_rule_letter(rule, letter(3, PLUS))
+        rule.image(letter(3, PLUS))
 
 
 def test_rewrite_examples():
@@ -75,7 +74,7 @@ def test_rewrite_examples():
     assert len(out) == 8
     assert out == w("1+ 1+ 2+ 1+ 1+ 2+ 1+ 2+")
     single = rewrite(rule, w("2+"))
-    assert single == apply_rule_letter(rule, letter(2, PLUS)).expand()
+    assert single == rule.image(letter(2, PLUS)).expand()
 
 
 def test_rewrite_rejects_foreign_letters():
