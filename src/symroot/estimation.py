@@ -127,22 +127,33 @@ def ratio_estimates(v: CountVector, iteration: int = 0) -> list[RatioEstimate]:
     return out
 
 
-def _settled(prev, cur, m: int, tol: Fraction) -> bool:
-    # converged means: both of the last two iterations carry all m-1 ratios,
-    # the ratios agree pairwise within tol at each iteration, and no ratio
-    # moved by more than tol between the two
-    want = m - 1
-    if prev is None or len(prev) != want or len(cur) != want:
+def _within(a: int, b: int, c: int, d: int, tol: Fraction) -> bool:
+    # |a/b - c/d| <= tol as one integer comparison, with no gcd; b, d nonzero
+    return abs(a * d - c * b) * tol.denominator <= tol.numerator * abs(b * d)
+
+
+def _profile_agrees(d: tuple[int, ...], tol: Fraction) -> bool:
+    # all m-1 ratios d[j-1]/d[j] are defined and agree pairwise within tol
+    if 0 in d[1:]:
         return False
-    for ests in (prev, cur):
-        for x in ests:
-            for y in ests:
-                if abs(x.value - y.value) > tol:
-                    return False
-    for x, y in zip(prev, cur):
-        if abs(x.value - y.value) > tol:
-            return False
-    return True
+    return all(
+        _within(d[i - 1], d[i], d[j - 1], d[j], tol)
+        for i in range(1, len(d))
+        for j in range(i + 1, len(d))
+    )
+
+
+def _settled(prev: tuple[int, ...] | None, cur: tuple[int, ...], tol: Fraction) -> bool:
+    # converged means: both of the last two directions carry all m-1 ratios,
+    # the ratios agree pairwise within tol in each, and no ratio moved by
+    # more than tol between the two; ratios are scale-invariant, so reading
+    # them off the gcd-normalized direction decides exactly as the counts would
+    return (
+        prev is not None
+        and _profile_agrees(prev, tol)
+        and _profile_agrees(cur, tol)
+        and all(_within(prev[j - 1], prev[j], cur[j - 1], cur[j], tol) for j in range(1, len(cur)))
+    )
 
 
 def _direction(v: CountVector) -> tuple[int, ...]:
@@ -183,6 +194,37 @@ def _window_rules_out_limit(history, m: int, tol: Fraction) -> bool:
     return False
 
 
+def _iterate(
+    p: MonicPolynomial, v: CountVector, max_iters: int, tol: Fraction
+) -> tuple[Status, int, list[tuple[RatioEstimate, ...]]]:
+    # the count iteration of a degree >= 2 polynomial, until one stop rule
+    # fires; returns (status, iterations_used, history)
+    matrix = iteration_matrix(p)
+    history: list[tuple[RatioEstimate, ...]] = []
+    directions: dict[tuple[int, ...], int] = {}
+    prev: tuple[int, ...] | None = None
+    k = 0
+    while True:
+        history.append(tuple(ratio_estimates(v, iteration=k)))
+        if v.is_zero():
+            return Status.DEGENERATE_START, k, history
+        d = _direction(v)
+        if _settled(prev, d, tol):
+            return Status.CONVERGED, k, history
+        first_seen = directions.setdefault(d, k)
+        if k - first_seen >= 2:
+            # the direction sequence is exactly periodic, so the ratios can
+            # never settle; calling it now saves waiting out max_iters
+            return Status.NO_REAL_LIMIT, k, history
+        if k == max_iters:
+            if _window_rules_out_limit(history, p.degree, tol):
+                return Status.NO_REAL_LIMIT, k, history
+            return Status.MAX_ITERATIONS_REACHED, k, history
+        prev = d
+        k += 1
+        v = step_counts(matrix, v)
+
+
 def estimate_root(
     p: MonicPolynomial,
     *,
@@ -213,72 +255,22 @@ def estimate_root(
     if p.degree == 1:
         # no adjacent pair exists, but no iteration is needed either:
         # the root is a_1 exactly
-        root = Fraction(p.a[0])
-        oracle_root = agreement = discrepancy = None
-        if compare_oracle:
-            oracle_root = oracle_largest_real_root(p, prec)
-            if oracle_root is not None:
-                discrepancy = abs(root - oracle_root)
-                agreement = discrepancy <= 2 * tol + 2 * prec
-        return ConvergenceReport(
-            polynomial=p,
-            status=Status.CONVERGED,
-            iterations_used=0,
-            history=((),),
-            final_estimate=root,
-            oracle_root=oracle_root,
-            oracle_agreement=agreement,
-            oracle_discrepancy=discrepancy,
-            note="degree 1: the root equals a_1 exactly; no ratio iteration needed",
-        )
+        status, iterations_used, history = Status.CONVERGED, 0, [()]
+        final = Fraction(p.a[0])
+        note = "degree 1: the root equals a_1 exactly; no ratio iteration needed"
+    else:
+        v = initial if initial is not None else CountVector.unit(p.degree)
+        status, iterations_used, history = _iterate(p, v, max_iters, tol)
+        # a settled direction carries every ratio, so the first is n_1/n_2
+        final = history[-1][0].value if status is Status.CONVERGED else None
+        note = None
 
-    matrix = iteration_matrix(p)
-    v = initial if initial is not None else CountVector.unit(p.degree)
-
-    history: list[tuple[RatioEstimate, ...]] = []
-    directions: dict[tuple[int, ...], int] = {}
-    est_prev: tuple[RatioEstimate, ...] | None = None
-    status: Status
-    iterations_used: int
-
-    k = 0
-    while True:
-        ests = tuple(ratio_estimates(v, iteration=k))
-        history.append(ests)
-
-        if v.is_zero():
-            status, iterations_used = Status.DEGENERATE_START, k
-            break
-        if k >= 1 and _settled(est_prev, ests, p.degree, tol):
-            status, iterations_used = Status.CONVERGED, k
-            break
-        first_seen = directions.setdefault(_direction(v), k)
-        if k - first_seen >= 2:
-            # the direction sequence is exactly periodic, so the ratios can
-            # never settle; calling it now saves waiting out max_iters
-            status, iterations_used = Status.NO_REAL_LIMIT, k
-            break
-        if k == max_iters:
-            iterations_used = max_iters
-            if _window_rules_out_limit(history, p.degree, tol):
-                status = Status.NO_REAL_LIMIT
-            else:
-                status = Status.MAX_ITERATIONS_REACHED
-            break
-
-        est_prev = ests
-        k += 1
-        v = step_counts(matrix, v)
-
-    final = None
     oracle_root = agreement = discrepancy = None
-    if status is Status.CONVERGED:
-        final = next(r.value for r in history[-1] if r.j == 1)
-        if compare_oracle:
-            oracle_root = oracle_largest_real_root(p, prec)
-            if oracle_root is not None:
-                discrepancy = abs(final - oracle_root)
-                agreement = discrepancy <= 2 * tol + 2 * prec
+    if status is Status.CONVERGED and compare_oracle:
+        oracle_root = oracle_largest_real_root(p, prec)
+        if oracle_root is not None:
+            discrepancy = abs(final - oracle_root)
+            agreement = discrepancy <= 2 * tol + 2 * prec
     return ConvergenceReport(
         polynomial=p,
         status=status,
@@ -288,7 +280,7 @@ def estimate_root(
         oracle_root=oracle_root,
         oracle_agreement=agreement,
         oracle_discrepancy=discrepancy,
-        note=None,
+        note=note,
     )
 
 
@@ -355,7 +347,7 @@ def eigenvector_profile_check(p: MonicPolynomial, v: CountVector, tol) -> bool:
 
     A vector proportional to (r^(m-1), ..., r, 1) passes with tol 0; a
     vector with any zero among entries 2..m cannot be of that shape and
-    fails outright.
+    fails outright. A negative tol is a ValueError.
     """
     if p.degree < 2:
         raise DegreeTooSmallError("profile check needs degree >= 2")
@@ -366,7 +358,6 @@ def eigenvector_profile_check(p: MonicPolynomial, v: CountVector, tol) -> bool:
     if v.is_zero():
         raise ValueError("profile check needs a nonzero vector")
     tol = Fraction(tol)
-    ests = ratio_estimates(v)
-    if len(ests) != p.degree - 1:
-        return False
-    return all(abs(x.value - y.value) <= tol for x in ests for y in ests)
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    return _profile_agrees(v.n, tol)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import itemgetter
 
 from .errors import EngineOverflowError, IndexOutOfRangeError
 from .polynomial import MonicPolynomial
@@ -31,7 +33,7 @@ PLUS = 1
 MINUS = -1
 
 # literal words grow geometrically under rewriting; past this many letters
-# the engines refuse and point at the counts engine instead
+# rewriting refuses and points at the counts-only paths instead
 WORD_CAP_DEFAULT = 10_000_000
 
 _SIGN_TEXT = {PLUS: "+", MINUS: "-"}
@@ -118,16 +120,15 @@ class RleWord:
     runs: tuple[tuple[Letter, int], ...] = ()
 
     def __post_init__(self) -> None:
-        merged: list[list] = []
-        for run in self.runs:
-            l, k = run
-            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-                raise ValueError(f"run multiplicity must be a positive integer, got {k!r}")
-            if merged and merged[-1][0] == l:
-                merged[-1][1] += k
-            else:
-                merged.append([l, k])
-        object.__setattr__(self, "runs", tuple((l, k) for l, k in merged))
+        merged = []
+        for l, group in groupby(self.runs, key=itemgetter(0)):
+            total = 0
+            for _, k in group:
+                if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+                    raise ValueError(f"run multiplicity must be a positive integer, got {k!r}")
+                total += k
+            merged.append((l, total))
+        object.__setattr__(self, "runs", tuple(merged))
 
     @property
     def letter_count(self) -> int:
@@ -141,13 +142,8 @@ class RleWord:
 
     @classmethod
     def compress(cls, w: Word) -> "RleWord":
-        runs: list[list] = []
-        for l in w:
-            if runs and runs[-1][0] == l:
-                runs[-1][1] += 1
-            else:
-                runs.append([l, 1])
-        return cls(tuple((l, k) for l, k in runs))
+        # one run per letter; the constructor merges them into normal form
+        return cls(tuple(zip(w.letters, repeat(1))))
 
     def __add__(self, other: "RleWord") -> "RleWord":
         return RleWord(self.runs + other.runs)
@@ -230,7 +226,7 @@ def _check_cap(rule: ReplacementRule, pairs, cap: int) -> None:
     if predicted > cap:
         raise EngineOverflowError(
             f"rewrite would produce {predicted} letters, over the cap of {cap}; "
-            "use the counts engine for deep iteration"
+            "use `symroot run` (or iterate_counts in the library) for deep iteration"
         )
 
 

@@ -248,4 +248,5 @@ def test_huge_coefficient_hits_the_word_cap(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 5, argv
         assert "over the cap" in err
+        assert "symroot run" in err and "counts engine" not in err
         assert "Traceback" not in err

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from symroot import (
     CountVector,
@@ -15,6 +15,7 @@ from symroot import (
     ratio_estimates,
 )
 from symroot.errors import DegreeTooSmallError
+from symroot.estimation import _direction, _settled
 from symroot.polynomial import MonicPolynomial
 
 GOLDEN = parse_polynomial("x^2 - x - 1")
@@ -173,6 +174,8 @@ def test_eigenvector_profile_check():
     assert not eigenvector_profile_check(p3, CountVector((1, 0, 1)), 1)
     with pytest.raises(DegreeTooSmallError):
         eigenvector_profile_check(parse_polynomial("x - 2"), CountVector((1,)), 0)
+    with pytest.raises(ValueError):
+        eigenvector_profile_check(GOLDEN, CountVector((13, 8)), -1)
 
 
 small_polys = st.lists(st.integers(-3, 3), min_size=2, max_size=4).map(
@@ -199,3 +202,64 @@ def test_ratio_values_are_scale_invariant(p, raw, c, depth):
         ru = ratio_estimates(u)
         rs = ratio_estimates(s)
         assert [(r.j, r.value) for r in ru] == [(r.j, r.value) for r in rs]
+
+
+def _fraction_settled(prev, cur, m, tol):
+    # reference: the settle rule on reduced Fraction ratios of the raw counts
+    want = m - 1
+    if prev is None or len(prev) != want or len(cur) != want:
+        return False
+    for ests in (prev, cur):
+        for x in ests:
+            for y in ests:
+                if abs(x.value - y.value) > tol:
+                    return False
+    return all(abs(x.value - y.value) <= tol for x, y in zip(prev, cur))
+
+
+TOLS = (Fraction(0), Fraction(1, 10**12), Fraction(1, 1000), Fraction(1, 3), Fraction(1), Fraction(7, 2))
+
+
+@st.composite
+def count_vectors(draw, m):
+    # near-geometric profiles (p^(m-1-i) q^i plus small noise) reach both
+    # answers of the settle rule; a large common factor must not matter
+    p = draw(st.integers(-6, 6))
+    q = draw(st.integers(-6, 6))
+    noise = draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m))
+    n = [p ** (m - 1 - i) * q**i + e for i, e in enumerate(noise)]
+    if draw(st.booleans()):
+        n = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    scale = draw(st.sampled_from((1, -1, 4**40, -3 * 4**40)))
+    v = CountVector(tuple(scale * x for x in n))
+    assume(not v.is_zero())
+    return v
+
+
+@st.composite
+def count_vector_pairs(draw):
+    m = draw(st.integers(2, 5))
+    return draw(count_vectors(m)), draw(count_vectors(m))
+
+
+@settings(max_examples=300)
+@given(count_vector_pairs())
+def test_direction_settle_rule_matches_fraction_rule(pair):
+    u, w = pair
+    prev, cur = _direction(u), _direction(w)
+    assert not _settled(None, cur, TOLS[1])
+    for tol in TOLS[1:]:
+        want = _fraction_settled(ratio_estimates(u), ratio_estimates(w), u.m, tol)
+        assert _settled(prev, cur, tol) == want
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 5).flatmap(count_vectors))
+def test_profile_check_matches_fraction_rule(v):
+    p = MonicPolynomial((0,) * v.m)
+    ests = ratio_estimates(v)
+    for tol in TOLS:
+        want = len(ests) == v.m - 1 and all(
+            abs(x.value - y.value) <= tol for x in ests for y in ests
+        )
+        assert eigenvector_profile_check(p, v, tol) == want

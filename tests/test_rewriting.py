@@ -15,7 +15,7 @@ from symroot import (
 )
 from symroot.errors import IndexOutOfRangeError
 from symroot.polynomial import MonicPolynomial
-from symroot.rewriting import signed_power
+from symroot.rewriting import Letter, signed_power
 
 
 def w(text: str) -> Word:
@@ -125,8 +125,12 @@ def test_rle_normal_form():
     r = RleWord(((a, 2), (a, 3), (b, 1)))
     assert r.runs == ((a, 5), (b, 1))
     assert r.letter_count == 6
+    # equal letters merge even when they are distinct objects
+    assert RleWord(((Letter(1, PLUS), 1), (a, 1), (b, 2))).runs == ((a, 2), (b, 2))
     with pytest.raises(ValueError):
         RleWord(((a, 0),))
+    with pytest.raises(ValueError):
+        RleWord(((a, 2), (a, True)))
 
 
 def test_rle_round_trip_and_render():
