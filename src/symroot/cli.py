@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .counting import CountVector, count_word, iterate_counts, verify_commutation
@@ -163,16 +164,33 @@ def _print_tsv(report: ConvergenceReport) -> None:
             print(f"{i}\t{r.j}\t{r.numerator}\t{r.denominator}\t{_float_text(r.value)}")
 
 
+@contextmanager
+def _any_int_digits():
+    # exact counts pass CPython's int->str digit limit (4300 by default) on
+    # deep runs; lift it while rendering only. Pythons without the setter
+    # (3.10.0-3.10.6) have no limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_run(p: MonicPolynomial, args) -> int:
     report = estimate_root(
         p, max_iters=args.iters, tol=args.tol, compare_oracle=not args.no_oracle
     )
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    elif args.format == "tsv":
-        _print_tsv(report)
-    else:
-        _print_table(report)
+    with _any_int_digits():
+        if args.format == "json":
+            print(json.dumps(report.to_json_dict(), indent=2))
+        elif args.format == "tsv":
+            _print_tsv(report)
+        else:
+            _print_table(report)
     if report.status is Status.CONVERGED:
         return 4 if report.oracle_agreement is False else 0
     return 2

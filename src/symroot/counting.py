@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, NonIntegerCoefficientError
 from .polynomial import IterationMatrix, iteration_matrix
-from .rewriting import WORD_CAP_DEFAULT, ReplacementRule, RleWord, rewrite
+from .rewriting import WORD_CAP_DEFAULT, ReplacementRule, RleWord, letter_text, rewrite
 
 __all__ = ["CountVector", "count_word", "iterate_counts", "verify_commutation"]
 
@@ -66,15 +66,13 @@ class CountVector:
 
 def count_word(w, m: int) -> CountVector:
     """Letter counts of a Word or RleWord; RLE input is never expanded."""
-    if isinstance(w, RleWord):
-        pairs = list(w.runs)
-    else:
-        pairs = list(Counter(w.letters).items())
+    pairs = w.runs if isinstance(w, RleWord) else Counter(w.letters).items()
     n = [0] * m
     for l, k in pairs:
-        if l.index > m:
-            raise IndexOutOfRangeError(f"letter {l} does not fit m = {m}")
-        n[l.index - 1] += l.sign * k
+        i = abs(l)
+        if not 1 <= i <= m:
+            raise IndexOutOfRangeError(f"letter {letter_text(l)} does not fit m = {m}")
+        n[i - 1] += k if l > 0 else -k
     return CountVector(tuple(n))
 
 

@@ -200,7 +200,14 @@ def _iterate(
     # the count iteration of a degree >= 2 polynomial, until one stop rule
     # fires; returns (status, iterations_used, history)
     matrix = iteration_matrix(p)
+    m = p.degree
     history: list[tuple[RatioEstimate, ...]] = []
+    # first visits of d_0 .. d_m only. From k = m on, v_k lies in im(R^m),
+    # on which R is invertible (R^m kills R's generalized kernel); so if
+    # d_k = d_j for j < k with j > m, then d_(k-1) = d_(j-1) was an earlier
+    # revisit. The first revisit therefore returns to one of d_0 .. d_m,
+    # the sequence is periodic from there on, and the cycle rule fires at
+    # the same k as it would with every direction kept
     directions: dict[tuple[int, ...], int] = {}
     prev: tuple[int, ...] | None = None
     k = 0
@@ -211,13 +218,13 @@ def _iterate(
         d = _direction(v)
         if _settled(prev, d, tol):
             return Status.CONVERGED, k, history
-        first_seen = directions.setdefault(d, k)
+        first_seen = directions.setdefault(d, k) if k <= m else directions.get(d, k)
         if k - first_seen >= 2:
             # the direction sequence is exactly periodic, so the ratios can
             # never settle; calling it now saves waiting out max_iters
             return Status.NO_REAL_LIMIT, k, history
         if k == max_iters:
-            if _window_rules_out_limit(history, p.degree, tol):
+            if _window_rules_out_limit(history, m, tol):
                 return Status.NO_REAL_LIMIT, k, history
             return Status.MAX_ITERATIONS_REACHED, k, history
         prev = d
@@ -232,7 +239,6 @@ def estimate_root(
     max_iters: int = DEFAULT_MAX_ITERS,
     tol=DEFAULT_TOL,
     compare_oracle: bool = True,
-    oracle_precision=None,
 ) -> ConvergenceReport:
     """Iterate the count map and read the root off the settling ratios.
 
@@ -248,9 +254,6 @@ def estimate_root(
         raise DimensionMismatchError(
             f"initial vector has {initial.m} entries, polynomial degree is {p.degree}"
         )
-    prec = Fraction(oracle_precision) if oracle_precision is not None else tol
-    if prec <= 0:
-        raise ValueError("oracle precision must be positive")
 
     if p.degree == 1:
         # no adjacent pair exists, but no iteration is needed either:
@@ -267,10 +270,12 @@ def estimate_root(
 
     oracle_root = agreement = discrepancy = None
     if status is Status.CONVERGED and compare_oracle:
-        oracle_root = oracle_largest_real_root(p, prec)
+        # slack of 2 tol for the settled ratios and 2 tol for the oracle,
+        # which bisects to a half-width of tol
+        oracle_root = oracle_largest_real_root(p, tol)
         if oracle_root is not None:
             discrepancy = abs(final - oracle_root)
-            agreement = discrepancy <= 2 * tol + 2 * prec
+            agreement = discrepancy <= 4 * tol
     return ConvergenceReport(
         polynomial=p,
         status=status,

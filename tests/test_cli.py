@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -250,3 +251,21 @@ def test_huge_coefficient_hits_the_word_cap(capsys):
         assert "over the cap" in err
         assert "symroot run" in err and "counts engine" not in err
         assert "Traceback" not in err
+
+
+BIG = 10**20
+BIG_PAIR = f"{BIG * (BIG + 1)},{-(2 * BIG + 1)},1"  # (x - 10^20)(x - 10^20 - 1)
+
+
+def test_run_prints_integers_past_the_digit_limit(capsys):
+    # the counts pass CPython's 4300-digit int->str limit within 256 iterations
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for fmt in ("table", "json", "tsv"):
+        code, out, err = run_cli(capsys, "run", f"--coeffs={BIG_PAIR}", "--format", fmt)
+        assert (code, err) == (2, ""), fmt
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        if fmt == "table":
+            assert out.splitlines()[-2:] == ["status: MaxIterationsReached", "iterations: 256"]
+            assert max(len(line) for line in out.splitlines()) > 4300
+        if fmt == "json":
+            assert parse_json(out)["status"] == "MaxIterationsReached"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from symroot import (
 from symroot.counting import step_counts
 from symroot.errors import DimensionMismatchError, IndexOutOfRangeError
 from symroot.polynomial import IterationMatrix, MonicPolynomial
+from symroot.rewriting import letter_text
 
 
 def w(text: str) -> Word:
@@ -46,14 +49,20 @@ def test_count_word_index_out_of_range():
         count_word(w("3+"), 2)
 
 
+def test_count_word_rejects_letters_outside_alphabet():
+    # 0 is no letter: read as index abs(0) it would land in n_m
+    for word in (Word((0,)), w("1+ 3-"), RleWord(((0, 2),))):
+        with pytest.raises(IndexOutOfRangeError):
+            count_word(word, 2)
+    with pytest.raises(IndexOutOfRangeError, match=r"^letter 3- does not fit m = 2$"):
+        count_word(w("1+ 3-"), 2)
+
+
 def test_count_second_iterate_with_negative_coefficient():
     # W_2 for a=(3,-1) holds 16 of 1+, one 1-, five 2+
     rule = build_rule(MonicPolynomial((3, -1)))
     w2 = iterate_words(rule, default_initial_word(), 2)[2]
-    tallies = {}
-    for l in w2:
-        tallies[str(l)] = tallies.get(str(l), 0) + 1
-    assert tallies == {"1+": 16, "1-": 1, "2+": 5}
+    assert Counter(map(letter_text, w2)) == {"1+": 16, "1-": 1, "2+": 5}
     assert count_word(w2, 2) == CountVector((15, 5))
 
 
@@ -138,7 +147,7 @@ def test_commutation_holds_for_random_words(rw):
 def test_count_is_additive(rw1, rw2):
     rule, u = rw1
     _, v = rw2
-    m = max(rule.m, max((l.index for l in v), default=1))
+    m = max(rule.m, max((abs(l) for l in v), default=1))
     assert count_word(u + v, m) == count_word(u, m) + count_word(v, m)
 
 

@@ -14,6 +14,7 @@ from symroot import (
     parse_polynomial,
     ratio_estimates,
 )
+from symroot.counting import step_counts
 from symroot.errors import DegreeTooSmallError
 from symroot.estimation import _direction, _settled
 from symroot.polynomial import MonicPolynomial
@@ -263,3 +264,54 @@ def test_profile_check_matches_fraction_rule(v):
             abs(x.value - y.value) <= tol for x in ests for y in ests
         )
         assert eigenvector_profile_check(p, v, tol) == want
+
+
+def _unbounded_cycle_rule(p, v, max_iters, tol):
+    # reference: the loop with every visited direction kept; (status, k) for
+    # the settle, zero and cycle rules, or (None, max_iters) at the budget,
+    # where the window rule decides alike for both
+    M = iteration_matrix(p)
+    seen = {}
+    prev = None
+    for k in range(max_iters + 1):
+        if v.is_zero():
+            return Status.DEGENERATE_START, k
+        d = _direction(v)
+        if _settled(prev, d, tol):
+            return Status.CONVERGED, k
+        if k - seen.setdefault(d, k) >= 2:
+            return Status.NO_REAL_LIMIT, k
+        prev = d
+        v = step_counts(M, v)
+    return None, max_iters
+
+
+def _check_against_unbounded_rule(p, v0, max_iters=60):
+    rep = estimate_root(p, initial=v0, max_iters=max_iters, compare_oracle=False)
+    status, k = _unbounded_cycle_rule(p, v0, max_iters, TOL)
+    assert rep.iterations_used == k
+    if status is None:
+        assert rep.status in (Status.MAX_ITERATIONS_REACHED, Status.NO_REAL_LIMIT)
+    else:
+        assert rep.status is status
+    return rep
+
+
+def test_cycle_memory_bounded_exactly():
+    # R is singular here (p(-1) = 0), so early directions need not recur;
+    # the first revisit still returns to one of d_0 .. d_m: d_7 = d_1
+    p = parse_polynomial("x^4 + 2x^2 - 3")
+    rep = _check_against_unbounded_rule(p, CountVector((2, 2, 3, 1)))
+    assert (rep.status, rep.iterations_used) == (Status.NO_REAL_LIMIT, 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=4),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.booleans(),
+)
+def test_cycle_rule_matches_unbounded_memory(a, raw, from_e1):
+    p = MonicPolynomial(tuple(a))
+    v0 = CountVector.unit(p.degree) if from_e1 else CountVector(tuple(raw[: p.degree]))
+    _check_against_unbounded_rule(p, v0)

@@ -15,7 +15,7 @@ from symroot import (
 )
 from symroot.errors import IndexOutOfRangeError
 from symroot.polynomial import MonicPolynomial
-from symroot.rewriting import Letter, signed_power
+from symroot.rewriting import letter_text
 
 
 def w(text: str) -> Word:
@@ -26,13 +26,6 @@ def w(text: str) -> Word:
     for tok in text.split():
         out.append(letter(int(tok[:-1]), PLUS if tok[-1] == "+" else MINUS))
     return Word(tuple(out))
-
-
-def test_signed_power_cases():
-    assert signed_power(1, PLUS, 3).expand() == w("1+ 1+ 1+")
-    assert signed_power(1, PLUS, -2).expand() == w("1- 1-")
-    assert signed_power(1, MINUS, -2).expand() == w("1+ 1+")
-    assert signed_power(1, PLUS, 0) == RleWord()
 
 
 def test_build_rule_golden():
@@ -85,6 +78,19 @@ def test_rewrite_rejects_foreign_letters():
         rewrite(rule, RleWord.compress(w("5-")))
 
 
+def test_foreign_letter_messages():
+    rule = build_rule(MonicPolynomial((1, 1)))
+    with pytest.raises(IndexOutOfRangeError, match=r"^letter 5\+ is outside the rule's alphabet \(m = 2\)$"):
+        rewrite(rule, w("1+ 5+"))
+    with pytest.raises(IndexOutOfRangeError, match=r"^letter 5- is outside"):
+        rewrite(rule, RleWord.compress(w("5-")))
+    with pytest.raises(IndexOutOfRangeError, match=r"^letter 5\+ is outside"):
+        rule.image(letter(5, PLUS))
+    # the cap is checked after the alphabet, so a foreign letter is named first
+    with pytest.raises(IndexOutOfRangeError, match=r"^letter 3- is outside"):
+        rewrite(rule, w("1+ 1+ 3-"), cap=1)
+
+
 def test_iterate_words_golden():
     rule = build_rule(MonicPolynomial((1, 1)))
     words = iterate_words(rule, default_initial_word(), 2)
@@ -125,8 +131,9 @@ def test_rle_normal_form():
     r = RleWord(((a, 2), (a, 3), (b, 1)))
     assert r.runs == ((a, 5), (b, 1))
     assert r.letter_count == 6
-    # equal letters merge even when they are distinct objects
-    assert RleWord(((Letter(1, PLUS), 1), (a, 1), (b, 2))).runs == ((a, 2), (b, 2))
+    # letters merge by value, however they were written; opposite signs never merge
+    assert RleWord(((1, 1), (a, 1), (b, 2))).runs == ((a, 2), (b, 2))
+    assert RleWord(((a, 1), (-a, 1))).runs == ((1, 1), (-1, 1))
     with pytest.raises(ValueError):
         RleWord(((a, 0),))
     with pytest.raises(ValueError):
@@ -141,11 +148,24 @@ def test_rle_round_trip_and_render():
     assert word.render() == "1+ 1+ 1+ 2+ 1-"
 
 
-def test_letter_instances_are_shared():
-    assert letter(1, PLUS) is letter(1, PLUS)
-    assert letter(1, PLUS) == Word((letter(1, PLUS),)).letters[0]
-    assert str(letter(3, MINUS)) == "3-"
-    assert letter(2, PLUS).flipped() is letter(2, MINUS)
+def test_letter_encoding_and_text():
+    # i+ is the int i and i- is -i: the index is the absolute value
+    assert letter(1, PLUS) == 1
+    assert letter(3, MINUS) == -3
+    assert letter(2, MINUS) == -letter(2, PLUS)
+    assert Word((letter(1, PLUS),)).letters[0] == 1
+    assert letter_text(letter(3, MINUS)) == "3-"
+    assert letter_text(letter(12, PLUS)) == "12+"
+    assert Word((2, -1)).flipped() == Word((letter(2, MINUS), letter(1, PLUS)))
+
+
+def test_letter_validation():
+    for index in (0, -1, True, 1.0, "1"):
+        with pytest.raises(IndexOutOfRangeError):
+            letter(index, PLUS)
+    for sign in (0, 2, -2, None):
+        with pytest.raises(ValueError):
+            letter(1, sign)
 
 
 small_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(
@@ -180,7 +200,7 @@ def test_length_law(rw):
     rule, word = rw
     m = rule.m
     a = rule.polynomial.a
-    expected = sum(abs(a[l.index - 1]) + (2 if l.index < m else 1) for l in word)
+    expected = sum(abs(a[abs(l) - 1]) + (2 if abs(l) < m else 1) for l in word)
     assert len(rewrite(rule, word)) == expected
 
 
