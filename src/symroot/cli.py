@@ -128,7 +128,11 @@ def _polynomial_from_args(args) -> MonicPolynomial:
 
 
 def _float_text(value: Fraction) -> str:
-    return f"{float(value):.17g}"
+    # a double rounds values past its range to +-inf, where float() raises
+    try:
+        return f"{float(value):.17g}"
+    except OverflowError:
+        return "inf" if value > 0 else "-inf"
 
 
 def _print_table(report: ConvergenceReport) -> None:
@@ -166,9 +170,10 @@ def _print_tsv(report: ConvergenceReport) -> None:
 
 @contextmanager
 def _any_int_digits():
-    # exact counts pass CPython's int->str digit limit (4300 by default) on
-    # deep runs; lift it while rendering only. Pythons without the setter
-    # (3.10.0-3.10.6) have no limit.
+    # coefficients on input and exact counts on deep runs pass CPython's
+    # int<->str digit limit (4300 by default); lift it for one command and
+    # restore the caller's. Pythons without the setter (3.10.0-3.10.6) have
+    # no limit.
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -184,13 +189,12 @@ def cmd_run(p: MonicPolynomial, args) -> int:
     report = estimate_root(
         p, max_iters=args.iters, tol=args.tol, compare_oracle=not args.no_oracle
     )
-    with _any_int_digits():
-        if args.format == "json":
-            print(json.dumps(report.to_json_dict(), indent=2))
-        elif args.format == "tsv":
-            _print_tsv(report)
-        else:
-            _print_table(report)
+    if args.format == "json":
+        print(json.dumps(report.to_json_dict(), indent=2))
+    elif args.format == "tsv":
+        _print_tsv(report)
+    else:
+        _print_table(report)
     if report.status is Status.CONVERGED:
         return 4 if report.oracle_agreement is False else 0
     return 2
@@ -279,19 +283,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 3
     try:
-        p = _polynomial_from_args(args)
-        if args.command == "run":
-            return cmd_run(p, args)
-        if args.command == "trace":
-            return cmd_trace(p, args)
-        return cmd_verify(p, args)
+        with _any_int_digits():
+            p = _polynomial_from_args(args)
+            if args.command == "run":
+                return cmd_run(p, args)
+            if args.command == "trace":
+                return cmd_trace(p, args)
+            return cmd_verify(p, args)
     except EngineOverflowError as e:
         print(f"error: {e}", file=sys.stderr)
         return 5
     except SymrootError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -32,11 +32,17 @@ __all__ = [
 DEFAULT_TOL = Fraction(1, 10**12)
 DEFAULT_MAX_ITERS = 256
 
-_WINDOW = 8        # trailing iterations examined when the cap is reached
-_WINDOW_SLACK = 10  # changes above _WINDOW_SLACK * tol in that window mean "not settling"
-
 
 class Status(str, Enum):
+    """Why a run stopped; every status but MaxIterationsReached is decided exactly.
+
+    Converged: the last two normalized directions carry all ratios and agree
+    within tol. DegenerateStart: the count vector is exactly zero.
+    NoRealLimit: the normalized direction revisited an earlier one exactly,
+    so the ratios repeat forever. MaxIterationsReached: no exact rule decided
+    within the budget; the ratios may still be settling or may never settle.
+    """
+
     CONVERGED = "Converged"
     MAX_ITERATIONS_REACHED = "MaxIterationsReached"
     DEGENERATE_START = "DegenerateStart"
@@ -168,32 +174,6 @@ def _direction(v: CountVector) -> tuple[int, ...]:
     return tuple((x // g) * s for x in v.n)
 
 
-def _window_rules_out_limit(history, m: int, tol: Fraction) -> bool:
-    # examined only when max_iters was exhausted; decides NoRealLimit versus
-    # the honest "ran out of budget" answer
-    window = list(history[-_WINDOW:])
-    want = m - 1
-    complete = [len(ests) == want for ests in window]
-    if not any(complete):
-        return True  # ratios still undefined this deep in
-    first = complete.index(True)
-    if not all(complete[first:]):
-        return True  # zero denominators keep coming back, not an early transient
-    tail = window[first:]
-    if len(tail) < 2:
-        return False
-    for j_pos in range(want):
-        values = [ests[j_pos].value for ests in tail]
-        if any(v > 0 for v in values) and any(v < 0 for v in values):
-            return True  # the ratio itself keeps flipping sign
-        diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-        # large steps that are not shrinking any more mean oscillation, while
-        # large but net-contracting steps just mean the budget was too small
-        if any(d > _WINDOW_SLACK * tol for d in diffs) and diffs[-1] > diffs[0]:
-            return True
-    return False
-
-
 def _iterate(
     p: MonicPolynomial, v: CountVector, max_iters: int, tol: Fraction
 ) -> tuple[Status, int, list[tuple[RatioEstimate, ...]]]:
@@ -224,8 +204,6 @@ def _iterate(
             # never settle; calling it now saves waiting out max_iters
             return Status.NO_REAL_LIMIT, k, history
         if k == max_iters:
-            if _window_rules_out_limit(history, m, tol):
-                return Status.NO_REAL_LIMIT, k, history
             return Status.MAX_ITERATIONS_REACHED, k, history
         prev = d
         k += 1
@@ -243,7 +221,10 @@ def estimate_root(
     """Iterate the count map and read the root off the settling ratios.
 
     Each step applies the iteration matrix to the m letter counts; the
-    literal words those counts belong to are never built.
+    literal words those counts belong to are never built. The run stops at
+    the first exact rule that fires (zero vector, settled ratios, or an
+    exact revisit of the normalized direction) and otherwise reports
+    MaxIterationsReached after max_iters steps; it never guesses a status.
     """
     tol = Fraction(tol)
     if tol <= 0:

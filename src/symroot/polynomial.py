@@ -126,14 +126,19 @@ class IterationMatrix:
         return len(self.first_row)
 
 
+# str.isdigit() also accepts superscript and non-Latin digits, which int()
+# then rejects or silently reads; only ASCII digits are numbers here
+_DIGITS = frozenset("0123456789")
+
+
 def parse_polynomial(text: str) -> MonicPolynomial:
     """Parse text like "x^3 - 2x - 5" into a MonicPolynomial.
 
     Grammar: a sum of integer-coefficient monomials in the single variable x.
     Whitespace is ignored, `*` between coefficient and variable is optional,
-    exponents are nonnegative decimal integers, and repeated powers are
-    summed. One leading sign is allowed. The fully expanded coefficient of
-    the highest power must be exactly 1.
+    coefficients and exponents are unsigned ASCII decimal integers, and
+    repeated powers are summed. One leading sign is allowed. The fully
+    expanded coefficient of the highest power must be exactly 1.
 
     Raises PolynomialSyntaxError (with the byte offset of the offending
     character), NotMonicError, or ZeroDegreeError.
@@ -150,7 +155,7 @@ def parse_polynomial(text: str) -> MonicPolynomial:
     def read_uint() -> int:
         nonlocal pos
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos] in _DIGITS:
             pos += 1
         if pos == start:
             raise PolynomialSyntaxError("expected an unsigned integer", start)
@@ -161,7 +166,7 @@ def parse_polynomial(text: str) -> MonicPolynomial:
         coef = 1
         power = 0
         have_coef = False
-        if pos < n and text[pos].isdigit():
+        if pos < n and text[pos] in _DIGITS:
             coef = read_uint()
             have_coef = True
             skip_ws()

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import re
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from symroot.cli import main
 
@@ -127,6 +131,10 @@ def test_syntax_error_offset_reaches_stderr(capsys):
     code, _, err = run_cli(capsys, "run", "--poly", "x^2 + @")
     assert code == 3
     assert "offset 6" in err
+    for text in ("x^\u00b2 - 1", "x^\u0662 - 1"):  # superscript two, Arabic-Indic two
+        code, _, err = run_cli(capsys, "run", "--poly", text)
+        assert code == 3
+        assert "(at offset 2)" in err
 
 
 def test_bad_coeffs_rejected(capsys):
@@ -255,17 +263,49 @@ def test_huge_coefficient_hits_the_word_cap(capsys):
 
 BIG = 10**20
 BIG_PAIR = f"{BIG * (BIG + 1)},{-(2 * BIG + 1)},1"  # (x - 10^20)(x - 10^20 - 1)
+HUGE_INPUT = "1" + "0" * 5000  # a coefficient past the digit limit on input
 
 
 def test_run_prints_integers_past_the_digit_limit(capsys):
-    # the counts pass CPython's 4300-digit int->str limit within 256 iterations
+    # BIG_PAIR's counts pass CPython's 4300-digit int<->str limit within 256
+    # iterations; the x^2 - 10^5000 inputs pass it before the first one
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    for fmt in ("table", "json", "tsv"):
-        code, out, err = run_cli(capsys, "run", f"--coeffs={BIG_PAIR}", "--format", fmt)
-        assert (code, err) == (2, ""), fmt
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-        if fmt == "table":
-            assert out.splitlines()[-2:] == ["status: MaxIterationsReached", "iterations: 256"]
-            assert max(len(line) for line in out.splitlines()) > 4300
-        if fmt == "json":
-            assert parse_json(out)["status"] == "MaxIterationsReached"
+    for source, iters in (
+        ((f"--coeffs={BIG_PAIR}",), 256),
+        ((f"--coeffs=-{HUGE_INPUT},0,1", "--iters", "4"), 4),
+        (("--poly", f"x^2 - {HUGE_INPUT}", "--iters", "4"), 4),
+    ):
+        for fmt in ("table", "json", "tsv"):
+            code, out, err = run_cli(capsys, "run", *source, "--format", fmt)
+            assert (code, err) == (2, ""), (source[0][:12], fmt)
+            assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+            if fmt == "table":
+                assert out.splitlines()[-2:] == [
+                    "status: MaxIterationsReached",
+                    f"iterations: {iters}",
+                ]
+                assert max(len(line) for line in out.splitlines()) > 4300
+            if fmt == "json":
+                assert parse_json(out)["status"] == "MaxIterationsReached"
+
+
+def _exponent_of_three_digits(text: str) -> bool:
+    # such an exponent builds a coefficient tuple of that length before any
+    # limit applies; that defect is out of this test's scope
+    return re.search(r"\^ *[0-9]{3}", text) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="0123456789x^*+-\u00b2 ", max_size=24).map(lambda t: ("--poly", t)),
+        st.tuples(st.lists(st.integers(), max_size=6), st.booleans()).map(
+            lambda cm: ("--coeffs=" + ",".join(str(c) for c in cm[0] + [1] * cm[1]),)
+        ),
+    )
+)
+def test_run_always_ends_in_a_documented_exit_code(source):
+    assume(not _exponent_of_three_digits(source[-1]))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["run", *source, "--iters", "8"])
+    assert code in (0, 2, 3, 4)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from symroot import (
     Status,
     eigenvector_profile_check,
     estimate_root,
+    from_coefficients,
     iterate_counts,
     iteration_matrix,
     oracle_largest_real_root,
@@ -81,6 +83,52 @@ def test_dominance_failure_is_flagged_not_hidden():
     assert abs(rep.final_estimate - Fraction("-2.6180339887")) <= Fraction(1, 10**9)
     assert rep.oracle_agreement is False
     assert abs(rep.oracle_root - Fraction("-0.3819660113")) <= Fraction(1, 10**9)
+
+
+@pytest.mark.parametrize("text, converges_at", [("x^12 - x - 1", 721), ("x^3 + 2x - 2", 561)])
+def test_slow_real_dominance_is_undecided_not_no_real_limit(text, converges_at):
+    # a complex sub-dominant pair makes the ratios oscillate while they
+    # shrink; the budget running out decides nothing about the limit
+    p = parse_polynomial(text)
+    rep = estimate_root(p, compare_oracle=False)
+    assert (rep.status, rep.iterations_used) == (Status.MAX_ITERATIONS_REACHED, 256)
+    assert rep.final_estimate is None
+    rep = estimate_root(p, max_iters=1000)
+    assert (rep.status, rep.iterations_used) == (Status.CONVERGED, converges_at)
+    assert rep.oracle_agreement is True
+
+
+def test_statuses_match_the_dominant_root_theory():
+    # the counts are R^k e_1 with R = I + C, whose eigenvalues are 1 + lambda,
+    # and e_1 is cyclic: the ratios converge to the root maximizing
+    # |1 + lambda| when it is real and unique, and never settle when two
+    # distinct roots tie for it
+    mpmath = pytest.importorskip("mpmath")
+    same = mpmath.mpf(10) ** -30  # relative distance below which roots coincide
+    seen = set()
+    with mpmath.workdps(60):
+        for m in (2, 3):
+            for c in itertools.product(range(-3, 4), repeat=m):
+                if c[0] == 0:
+                    continue
+                rep = estimate_root(from_coefficients(c + (1,)), compare_oracle=False)
+                if rep.status not in (Status.NO_REAL_LIMIT, Status.CONVERGED):
+                    continue
+                seen.add(rep.status)
+                roots = []  # distinct roots of p
+                for r in mpmath.polyroots((1,) + c[::-1], maxsteps=400, extraprec=400):
+                    if not any(abs(r - z) <= same * max(1, abs(r)) for z in roots):
+                        roots.append(mpmath.mpc(r))
+                gain = [abs(1 + z) for z in roots]
+                leaders = [z for z, g in zip(roots, gain) if g >= max(gain) * (1 - same)]
+                if rep.status is Status.NO_REAL_LIMIT:
+                    assert len(leaders) >= 2, c
+                    continue
+                (z,) = leaders
+                assert abs(z.imag) <= same, c
+                final = mpmath.mpf(rep.final_estimate.numerator) / rep.final_estimate.denominator
+                assert abs(final - z.real) <= mpmath.mpf(10) ** -9, c
+    assert seen == {Status.NO_REAL_LIMIT, Status.CONVERGED}
 
 
 def test_degenerate_start_zero_vector():
@@ -268,8 +316,7 @@ def test_profile_check_matches_fraction_rule(v):
 
 def _unbounded_cycle_rule(p, v, max_iters, tol):
     # reference: the loop with every visited direction kept; (status, k) for
-    # the settle, zero and cycle rules, or (None, max_iters) at the budget,
-    # where the window rule decides alike for both
+    # the settle, zero and cycle rules, or MaxIterationsReached at the budget
     M = iteration_matrix(p)
     seen = {}
     prev = None
@@ -283,17 +330,12 @@ def _unbounded_cycle_rule(p, v, max_iters, tol):
             return Status.NO_REAL_LIMIT, k
         prev = d
         v = step_counts(M, v)
-    return None, max_iters
+    return Status.MAX_ITERATIONS_REACHED, max_iters
 
 
 def _check_against_unbounded_rule(p, v0, max_iters=60):
     rep = estimate_root(p, initial=v0, max_iters=max_iters, compare_oracle=False)
-    status, k = _unbounded_cycle_rule(p, v0, max_iters, TOL)
-    assert rep.iterations_used == k
-    if status is None:
-        assert rep.status in (Status.MAX_ITERATIONS_REACHED, Status.NO_REAL_LIMIT)
-    else:
-        assert rep.status is status
+    assert (rep.status, rep.iterations_used) == _unbounded_cycle_rule(p, v0, max_iters, TOL)
     return rep
 
 
