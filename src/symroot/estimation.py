@@ -2,8 +2,9 @@
 
 When the count-vector direction settles, it settles onto a geometric profile
 (r^(m-1), ..., r, 1), so every consecutive-entry ratio estimates the same
-number r, a root of the polynomial. Everything here compares exact rationals;
-floats appear only in rendered output. An independent sign-scan plus
+number r, a root of the polynomial. Every decision here is exact on integers
+and rationals; floats only rule out comparisons that are certainly false,
+and appear otherwise only in rendered output. An independent sign-scan plus
 bisection oracle cross-checks which real root, if any, the ratios landed on,
 because the dominant direction can belong to a root other than the largest
 real one.
@@ -11,7 +12,6 @@ real one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,11 +36,11 @@ DEFAULT_MAX_ITERS = 256
 class Status(str, Enum):
     """Why a run stopped; every status but MaxIterationsReached is decided exactly.
 
-    Converged: the last two normalized directions carry all ratios and agree
-    within tol. DegenerateStart: the count vector is exactly zero.
-    NoRealLimit: the normalized direction revisited an earlier one exactly,
-    so the ratios repeat forever. MaxIterationsReached: no exact rule decided
-    within the budget; the ratios may still be settling or may never settle.
+    Converged: the last two count vectors carry all ratios and agree within
+    tol. DegenerateStart: the count vector is exactly zero. NoRealLimit: the
+    count vector became proportional to an earlier one, so the ratios repeat
+    forever. MaxIterationsReached: no exact rule decided within the budget;
+    the ratios may still be settling or may never settle.
     """
 
     CONVERGED = "Converged"
@@ -88,11 +88,11 @@ class ConvergenceReport:
             final = {
                 "num": str(self.final_estimate.numerator),
                 "den": str(self.final_estimate.denominator),
-                "float": float(self.final_estimate),
+                "float": _json_float(self.final_estimate),
             }
         oracle = None
         if self.oracle_root is not None and self.oracle_agreement is not None:
-            oracle = {"float": float(self.oracle_root), "agrees": self.oracle_agreement}
+            oracle = {"float": _json_float(self.oracle_root), "agrees": self.oracle_agreement}
         return {
             "polynomial": {
                 "degree": self.polynomial.degree,
@@ -113,6 +113,15 @@ class ConvergenceReport:
                 for i, ests in enumerate(self.history)
             ],
         }
+
+
+def _json_float(x: Fraction) -> float | None:
+    # JSON has no infinity: past the double range the float is null, and the
+    # exact num/den still carry the value
+    try:
+        return float(x)
+    except OverflowError:
+        return None
 
 
 def ratio_estimates(v: CountVector, iteration: int = 0) -> list[RatioEstimate]:
@@ -150,10 +159,10 @@ def _profile_agrees(d: tuple[int, ...], tol: Fraction) -> bool:
 
 
 def _settled(prev: tuple[int, ...] | None, cur: tuple[int, ...], tol: Fraction) -> bool:
-    # converged means: both of the last two directions carry all m-1 ratios,
-    # the ratios agree pairwise within tol in each, and no ratio moved by
-    # more than tol between the two; ratios are scale-invariant, so reading
-    # them off the gcd-normalized direction decides exactly as the counts would
+    # converged means: both of the last two count vectors carry all m-1
+    # ratios, the ratios agree pairwise within tol in each, and no ratio
+    # moved by more than tol between the two; _within is scale-invariant, so
+    # the raw counts decide exactly as their reduced ratios would
     return (
         prev is not None
         and _profile_agrees(prev, tol)
@@ -162,50 +171,97 @@ def _settled(prev: tuple[int, ...] | None, cur: tuple[int, ...], tol: Fraction) 
     )
 
 
-def _direction(v: CountVector) -> tuple[int, ...]:
-    # canonical projective form: divide by the gcd, make the first nonzero
-    # entry positive; exact revisits of a direction make the future an exact
-    # replay of the past
-    g = 0
-    for x in v.n:
-        g = math.gcd(g, abs(x))
-    lead = next(x for x in v.n if x != 0)
-    s = 1 if lead > 0 else -1
-    return tuple((x // g) * s for x in v.n)
+def _float_ratios(n: tuple[int, ...]) -> tuple[float, ...] | None:
+    # n[j-1] / n[j] for each j, correctly rounded (int / int is, at any
+    # size); None on a zero denominator or past the double range
+    try:
+        return tuple(n[j - 1] / n[j] for j in range(1, len(n)))
+    except (ZeroDivisionError, OverflowError):
+        return None
+
+
+def _float_tol(tol: Fraction) -> float:
+    # float(tol) rounded up (an ulp is at most 2^-52 relative or 2^-1074);
+    # inf past the double range
+    try:
+        tol_f = float(tol)
+    except OverflowError:
+        return float("inf")
+    return tol_f if tol_f >= tol else tol_f * (1 + 2**-52) + 2**-1074
+
+
+def _certainly_apart(x: float, y: float, tol_f: float) -> bool:
+    # True only if the exact ratios X, Y rounded to x, y have |X - Y| > tol.
+    # Each float is within 2^-53 relative, or 2^-1074 absolute, of its ratio.
+    # Each operation below rounds by at most 2^-53 relative, and when the
+    # test passes no value in it exceeds about |x| + |y| (tol_f < |x - y|).
+    # So 2^-50 (|x| + |y|) covers the relative errors with room to spare and
+    # 2^-1000 the absolute ones; tol <= tol_f, and an overflow to inf can
+    # only stop a rejection
+    return abs(x - y) > tol_f + 2**-50 * (abs(x) + abs(y)) + 2**-1000
+
+
+def _certainly_unsettled(prev_f: tuple[float, ...], cur_f: tuple[float, ...], tol_f: float) -> bool:
+    # some pair that _settled compares is certainly more than tol apart:
+    # ratio j of prev and of cur, or two ratios within one profile, where the
+    # extremes are enough: |x - y| - 2^-50 (|x| + |y|) grows as x, y part
+    return any(_certainly_apart(x, y, tol_f) for x, y in zip(prev_f, cur_f)) or any(
+        _certainly_apart(min(f), max(f), tol_f) for f in (prev_f, cur_f)
+    )
+
+
+def _proportional(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    # v = c u for some nonzero c, both nonzero: cross-multiply against the
+    # first nonzero entry of u, with no gcd
+    i = next(i for i, x in enumerate(u) if x != 0)
+    return v[i] != 0 and all(v[i] * x == u[i] * y for x, y in zip(u, v))
 
 
 def _iterate(
     p: MonicPolynomial, v: CountVector, max_iters: int, tol: Fraction
 ) -> tuple[Status, int, list[tuple[RatioEstimate, ...]]]:
     # the count iteration of a degree >= 2 polynomial, until one stop rule
-    # fires; returns (status, iterations_used, history)
+    # fires; returns (status, iterations_used, history). Every rule decides
+    # exactly on the raw counts; the float ratios only skip exact tests whose
+    # answer they already know
     matrix = iteration_matrix(p)
     m = p.degree
+    tol_f = _float_tol(tol)
     history: list[tuple[RatioEstimate, ...]] = []
-    # first visits of d_0 .. d_m only. From k = m on, v_k lies in im(R^m),
-    # on which R is invertible (R^m kills R's generalized kernel); so if
-    # d_k = d_j for j < k with j > m, then d_(k-1) = d_(j-1) was an earlier
-    # revisit. The first revisit therefore returns to one of d_0 .. d_m,
-    # the sequence is periodic from there on, and the cycle rule fires at
-    # the same k as it would with every direction kept
-    directions: dict[tuple[int, ...], int] = {}
+    # first visits of v_0 .. v_m only, as (counts, float ratios, k), one per
+    # direction. From k = m on, v_k lies in im(R^m), on which R is invertible
+    # (R^m kills R's generalized kernel); so if v_k is proportional to v_j for
+    # j < k with j > m, then v_(k-1) was proportional to v_(j-1), an earlier
+    # revisit. The first revisit therefore returns to one of v_0 .. v_m, the
+    # sequence of directions is periodic from there on, and the cycle rule
+    # fires at the same k as it would with every direction kept
+    visits: list[tuple[tuple[int, ...], tuple[float, ...] | None, int]] = []
     prev: tuple[int, ...] | None = None
+    prev_f: tuple[float, ...] | None = None
     k = 0
     while True:
         history.append(tuple(ratio_estimates(v, iteration=k)))
         if v.is_zero():
             return Status.DEGENERATE_START, k, history
-        d = _direction(v)
-        if _settled(prev, d, tol):
+        n = v.n
+        cur_f = _float_ratios(n)
+        filtered = prev_f and cur_f and _certainly_unsettled(prev_f, cur_f, tol_f)
+        if not filtered and _settled(prev, n, tol):
             return Status.CONVERGED, k, history
-        first_seen = directions.setdefault(d, k) if k <= m else directions.get(d, k)
-        if k - first_seen >= 2:
+        # proportional vectors have equal exact ratios and the same zero
+        # denominators, so equal float tuples (or None for both): differing
+        # ones rule a revisit out
+        first_seen = next((j for u, u_f, j in visits if u_f == cur_f and _proportional(u, n)), None)
+        if first_seen is None:
+            if k <= m:
+                visits.append((n, cur_f, k))
+        elif k - first_seen >= 2:
             # the direction sequence is exactly periodic, so the ratios can
             # never settle; calling it now saves waiting out max_iters
             return Status.NO_REAL_LIMIT, k, history
         if k == max_iters:
             return Status.MAX_ITERATIONS_REACHED, k, history
-        prev = d
+        prev, prev_f = n, cur_f
         k += 1
         v = step_counts(matrix, v)
 
@@ -222,8 +278,8 @@ def estimate_root(
 
     Each step applies the iteration matrix to the m letter counts; the
     literal words those counts belong to are never built. The run stops at
-    the first exact rule that fires (zero vector, settled ratios, or an
-    exact revisit of the normalized direction) and otherwise reports
+    the first exact rule that fires (zero vector, settled ratios, or a count
+    vector proportional to an earlier one) and otherwise reports
     MaxIterationsReached after max_iters steps; it never guesses a status.
     """
     tol = Fraction(tol)

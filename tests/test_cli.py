@@ -289,6 +289,20 @@ def test_run_prints_integers_past_the_digit_limit(capsys):
                 assert parse_json(out)["status"] == "MaxIterationsReached"
 
 
+def _no_json_constants(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_run_json_float_is_null_past_the_double_range(capsys):
+    # JSON has no infinity: the float is null and num/den stay exact
+    root = "1" + "0" * 400
+    code, out, err = run_cli(capsys, "run", "--poly", f"x - {root}", "--format", "json")
+    assert (code, err) == (0, "")
+    d = json.loads(out, parse_constant=_no_json_constants)
+    assert d["final"] == {"num": root, "den": "1", "float": None}
+    assert d["oracle"] == {"float": None, "agrees": True}
+
+
 def _exponent_of_three_digits(text: str) -> bool:
     # such an exponent builds a coefficient tuple of that length before any
     # limit applies; that defect is out of this test's scope

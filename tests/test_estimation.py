@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from symroot import (
 )
 from symroot.counting import step_counts
 from symroot.errors import DegreeTooSmallError
-from symroot.estimation import _direction, _settled
+from symroot.estimation import _certainly_unsettled, _float_ratios, _float_tol, _settled
 from symroot.polynomial import MonicPolynomial
 
 GOLDEN = parse_polynomial("x^2 - x - 1")
@@ -253,6 +254,16 @@ def test_ratio_values_are_scale_invariant(p, raw, c, depth):
         assert [(r.j, r.value) for r in ru] == [(r.j, r.value) for r in rs]
 
 
+def _direction(v):
+    # reference: the counts divided by their gcd, first nonzero entry
+    # positive; equal directions are exactly the proportional count vectors
+    g = 0
+    for x in v.n:
+        g = math.gcd(g, abs(x))
+    s = 1 if next(x for x in v.n if x != 0) > 0 else -1
+    return tuple((x // g) * s for x in v.n)
+
+
 def _fraction_settled(prev, cur, m, tol):
     # reference: the settle rule on reduced Fraction ratios of the raw counts
     want = m - 1
@@ -294,12 +305,98 @@ def count_vector_pairs(draw):
 @settings(max_examples=300)
 @given(count_vector_pairs())
 def test_direction_settle_rule_matches_fraction_rule(pair):
+    # the loop settles on raw counts; the gcd-normalized directions and the
+    # reduced Fraction ratios must give the same answer
     u, w = pair
     prev, cur = _direction(u), _direction(w)
-    assert not _settled(None, cur, TOLS[1])
+    assert not _settled(None, w.n, TOLS[1])
     for tol in TOLS[1:]:
         want = _fraction_settled(ratio_estimates(u), ratio_estimates(w), u.m, tol)
-        assert _settled(prev, cur, tol) == want
+        assert _settled(u.n, w.n, tol) == _settled(prev, cur, tol) == want
+
+
+@st.composite
+def boundary_vectors(draw):
+    # two count vectors whose ratios sit r + c tol apart with c in {0, 1},
+    # each nudged by 0 or +-1/den: the exact settle rule's boundary. Ratios
+    # run from 10^-1100 past 10^1100, a zero ratio makes a zero denominator,
+    # and common factors reach 2^3000
+    tol = Fraction(draw(st.integers(1, 999)), 7) * Fraction(10) ** draw(st.integers(-400, 400))
+    m = draw(st.integers(2, 4))
+    r = Fraction(draw(st.integers(-(10**6), 10**6)), draw(st.integers(1, 10**6)))
+    r *= Fraction(10) ** draw(st.integers(-1100, 1100))
+    den = draw(st.sampled_from((3, 10**20, 10**400, 2**3000)))
+    vectors = []
+    for _ in range(2):
+        ratios = [
+            r + draw(st.integers(0, 1)) * tol + Fraction(draw(st.integers(-1, 1)), den)
+            for _ in range(m - 1)
+        ]
+        n = [Fraction(1)]
+        for x in reversed(ratios):
+            n.insert(0, x * n[0])
+        lcm = math.lcm(*(x.denominator for x in n))
+        scale = draw(st.sampled_from((1, -1, 3, 2**3000, -(3**1000))))
+        vectors.append(tuple(int(x * lcm) * scale for x in n))
+    return vectors[0], vectors[1], tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(boundary_vectors())
+def test_float_filter_never_overrides_the_exact_settle_rule(case):
+    u, w, tol = case
+    tol_f = _float_tol(tol)
+    uf, wf = _float_ratios(u), _float_ratios(w)
+    if _settled(u, w, tol):
+        assert not (uf and wf and _certainly_unsettled(uf, wf, tol_f))
+    # proportional counts have equal float ratios, which the cycle check needs
+    assert _float_ratios(tuple(-7 * x for x in u)) == uf
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [Fraction(1, 3), Fraction(1, 10**400), Fraction(1, 10**1100), Fraction(3, 2**1074), Fraction(10) ** 308,
+     Fraction(2) ** 1024, Fraction(10) ** 400, Fraction(1, 2), Fraction(10**17 + 1, 10**17)],
+)
+def test_float_tol_rounds_up(tol):
+    tol_f = _float_tol(tol)
+    assert tol_f >= tol
+    assert tol_f == float("inf") or Fraction(tol_f) - tol <= max(tol / 2**51, Fraction(1, 2**1073))
+
+
+def test_float_filter_rejects_clearly_apart_ratios():
+    assert _certainly_unsettled((1.0,), (1.5,), _float_tol(Fraction(1, 3)))
+    assert not _certainly_unsettled((1.0,), (1.5,), _float_tol(Fraction(1, 2)))
+    assert _certainly_unsettled((1.0, 2.0), (1.0, 1.0), _float_tol(Fraction(1, 2)))
+    # opposite ratios past the double range differ by inf in floats, which
+    # must not count as more than an infinite tol
+    u, w, tol = (15 * 10**307, 1), (-15 * 10**307, 1), Fraction(10) ** 400
+    assert _settled(u, w, tol)
+    assert not _certainly_unsettled(_float_ratios(u), _float_ratios(w), _float_tol(tol))
+
+
+@pytest.mark.parametrize(
+    "tol, status, iterations",
+    [(10**400, Status.CONVERGED, 2), (Fraction(1, 10**400), Status.MAX_ITERATIONS_REACHED, 256)],
+)
+def test_tol_past_the_double_range(tol, status, iterations):
+    # float(10**400) raises OverflowError, and 10^-400 rounds to 0.0
+    rep = estimate_root(GOLDEN, tol=tol, compare_oracle=False)
+    assert (rep.status, rep.iterations_used) == (status, iterations)
+
+
+@pytest.mark.parametrize(
+    "text, status, iterations",
+    [
+        ("x^2 - 201x + 10100", Status.CONVERGED, 2337),  # (x-100)(x-101)
+        ("x^3 - 200x^2 + 9899x + 10100", Status.CONVERGED, 2339),  # (x-100)(x-101)(x+1)
+        ("x^3 - 5x^2 + 3x + 9", Status.MAX_ITERATIONS_REACHED, 20000),  # (x-3)^2 (x+1)
+        ("x^12 - x - 1", Status.CONVERGED, 721),
+    ],
+)
+def test_deep_runs_pinned(text, status, iterations):
+    rep = estimate_root(parse_polynomial(text), max_iters=20000, compare_oracle=False)
+    assert (rep.status, rep.iterations_used) == (status, iterations)
 
 
 @settings(max_examples=300)
