@@ -13,12 +13,18 @@ import argparse
 import json
 import random
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 from .counting import CountVector, count_word, iterate_counts, verify_commutation
 from .errors import EngineOverflowError, NonIntegerCoefficientError, SymrootError
-from .estimation import DEFAULT_MAX_ITERS, DEFAULT_TOL, ConvergenceReport, Status, estimate_root
+from .estimation import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
+    ConvergenceReport,
+    Status,
+    _any_int_digits,
+    estimate_root,
+)
 from .polynomial import MonicPolynomial, from_coefficients, iteration_matrix, parse_polynomial
 from .rewriting import (
     MINUS,
@@ -166,23 +172,6 @@ def _print_tsv(report: ConvergenceReport) -> None:
     for i, ests in enumerate(report.history):
         for r in ests:
             print(f"{i}\t{r.j}\t{r.numerator}\t{r.denominator}\t{_float_text(r.value)}")
-
-
-@contextmanager
-def _any_int_digits():
-    # coefficients on input and exact counts on deep runs pass CPython's
-    # int<->str digit limit (4300 by default); lift it for one command and
-    # restore the caller's. Pythons without the setter (3.10.0-3.10.6) have
-    # no limit.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def cmd_run(p: MonicPolynomial, args) -> int:

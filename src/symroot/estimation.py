@@ -12,9 +12,13 @@ real one.
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 
 from .counting import CountVector, step_counts
 from .errors import DegreeTooSmallError, DimensionMismatchError
@@ -67,20 +71,96 @@ class RatioEstimate:
         return Fraction(self.numerator, self.denominator)
 
 
+class History(Sequence):
+    """The ratio estimates of v_0 .. v_k of one run, replayed on demand.
+
+    Iterating replays the count steps from v_0 and yields each entry once,
+    keeping none, so a run's memory does not grow with its iterations. len()
+    and [-1] cost O(1); any other index replays up to it, which costs O(i).
+    Equal to any sequence with the same entries.
+    """
+
+    def __init__(
+        self, p: MonicPolynomial, v0: CountVector, length: int, last: tuple[RatioEstimate, ...]
+    ):
+        self._p, self._v0, self._len, self._last = p, v0, length, last
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple[RatioEstimate, ...]]:
+        matrix = iteration_matrix(self._p)
+        v = self._v0
+        for k in range(self._len):
+            if k:
+                v = step_counts(matrix, v)
+            yield tuple(ratio_estimates(v, iteration=k))
+
+    def __reversed__(self) -> Iterator[tuple[RatioEstimate, ...]]:
+        return reversed(tuple(self))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            r = range(self._len)[i]
+            if not r:
+                return ()
+            picked = tuple(islice(self, min(r), max(r) + 1, abs(r.step)))
+            return picked if r.step > 0 else picked[::-1]
+        k = range(self._len)[i]  # IndexError past either end
+        return self._last if k == self._len - 1 else next(islice(self, k, None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        if isinstance(other, History) and (other._p, other._v0, other._len) == (
+            self._p, self._v0, self._len
+        ):
+            return True  # the same replay
+        return len(other) == self._len and all(x == y for x, y in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"History({self._len} entries from {self._v0.n})"
+
+
+@contextmanager
+def _any_int_digits():
+    # coefficients on input and exact counts on deep runs pass CPython's
+    # int<->str digit limit (4300 by default); lift it for one command or
+    # one JSON document and restore the caller's. Pythons without the setter
+    # (3.10.0-3.10.6) have no limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Everything one estimate_root run decided and saw along the way."""
+    """Everything one estimate_root run decided and saw along the way.
+
+    history holds the ratio estimates of every iterate v_0 .. v_k: a History
+    that replays them from v_0 when read, or ((),) for degree 1.
+    """
 
     polynomial: MonicPolynomial
     status: Status
     iterations_used: int
-    history: tuple[tuple[RatioEstimate, ...], ...]
+    history: Sequence[tuple[RatioEstimate, ...]]
     final_estimate: Fraction | None
     oracle_root: Fraction | None
     oracle_agreement: bool | None
     oracle_discrepancy: Fraction | None
     note: str | None
 
+    @_any_int_digits()
     def to_json_dict(self) -> dict:
         """Stable JSON shape; integers that may exceed doubles go as strings."""
         final = None
@@ -219,15 +299,15 @@ def _proportional(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
 
 def _iterate(
     p: MonicPolynomial, v: CountVector, max_iters: int, tol: Fraction
-) -> tuple[Status, int, list[tuple[RatioEstimate, ...]]]:
+) -> tuple[Status, int, CountVector]:
     # the count iteration of a degree >= 2 polynomial, until one stop rule
-    # fires; returns (status, iterations_used, history). Every rule decides
+    # fires; returns (status, iterations_used, last count vector) and keeps
+    # no history, which History replays from v_0 on demand. Every rule decides
     # exactly on the raw counts; the float ratios only skip exact tests whose
     # answer they already know
     matrix = iteration_matrix(p)
     m = p.degree
     tol_f = _float_tol(tol)
-    history: list[tuple[RatioEstimate, ...]] = []
     # first visits of v_0 .. v_m only, as (counts, float ratios, k), one per
     # direction. From k = m on, v_k lies in im(R^m), on which R is invertible
     # (R^m kills R's generalized kernel); so if v_k is proportional to v_j for
@@ -240,14 +320,13 @@ def _iterate(
     prev_f: tuple[float, ...] | None = None
     k = 0
     while True:
-        history.append(tuple(ratio_estimates(v, iteration=k)))
         if v.is_zero():
-            return Status.DEGENERATE_START, k, history
+            return Status.DEGENERATE_START, k, v
         n = v.n
         cur_f = _float_ratios(n)
         filtered = prev_f and cur_f and _certainly_unsettled(prev_f, cur_f, tol_f)
         if not filtered and _settled(prev, n, tol):
-            return Status.CONVERGED, k, history
+            return Status.CONVERGED, k, v
         # proportional vectors have equal exact ratios and the same zero
         # denominators, so equal float tuples (or None for both): differing
         # ones rule a revisit out
@@ -258,9 +337,9 @@ def _iterate(
         elif k - first_seen >= 2:
             # the direction sequence is exactly periodic, so the ratios can
             # never settle; calling it now saves waiting out max_iters
-            return Status.NO_REAL_LIMIT, k, history
+            return Status.NO_REAL_LIMIT, k, v
         if k == max_iters:
-            return Status.MAX_ITERATIONS_REACHED, k, history
+            return Status.MAX_ITERATIONS_REACHED, k, v
         prev, prev_f = n, cur_f
         k += 1
         v = step_counts(matrix, v)
@@ -295,14 +374,16 @@ def estimate_root(
     if p.degree == 1:
         # no adjacent pair exists, but no iteration is needed either:
         # the root is a_1 exactly
-        status, iterations_used, history = Status.CONVERGED, 0, [()]
+        status, iterations_used, history = Status.CONVERGED, 0, ((),)
         final = Fraction(p.a[0])
         note = "degree 1: the root equals a_1 exactly; no ratio iteration needed"
     else:
-        v = initial if initial is not None else CountVector.unit(p.degree)
-        status, iterations_used, history = _iterate(p, v, max_iters, tol)
+        v0 = initial if initial is not None else CountVector.unit(p.degree)
+        status, iterations_used, v = _iterate(p, v0, max_iters, tol)
+        last = tuple(ratio_estimates(v, iteration=iterations_used))
+        history = History(p, v0, iterations_used + 1, last)
         # a settled direction carries every ratio, so the first is n_1/n_2
-        final = history[-1][0].value if status is Status.CONVERGED else None
+        final = last[0].value if status is Status.CONVERGED else None
         note = None
 
     oracle_root = agreement = discrepancy = None
@@ -317,7 +398,7 @@ def estimate_root(
         polynomial=p,
         status=status,
         iterations_used=iterations_used,
-        history=tuple(history),
+        history=history,
         final_estimate=final,
         oracle_root=oracle_root,
         oracle_agreement=agreement,

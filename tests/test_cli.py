@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import symroot
 from symroot.cli import main
 
 
@@ -92,6 +96,42 @@ def test_run_tsv_rows(capsys):
         assert int(iter_s) >= 1
         assert int(j_s) == 1
         assert float(float_s) == int(num_s) / int(den_s)
+
+
+# prints the exit code, then the peak resident set size in KiB before and
+# after the command. VmHWM is this process image's own peak; ru_maxrss would
+# carry over the peak of the forking test process
+_PEAK_RSS_CHILD = """
+import sys
+from symroot.cli import main
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = peak_kib()
+code = main(sys.argv[1:])
+print(code, before, peak_kib(), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_run_tsv_memory_does_not_grow_with_the_history():
+    # tsv prints each iterate and drops it: here it prints 11 MB, while the
+    # history kept whole would raise the peak by about 12 MiB
+    argv = ["run", "--poly", "x^3 - 5x^2 + 3x + 9", "--iters", "5000", "--format", "tsv", "--no-oracle"]
+    env = dict(os.environ, PYTHONPATH=str(Path(symroot.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    code, before, after = map(int, done.stderr.split())
+    assert code == 2
+    assert after - before < 4 * 1024
 
 
 def test_run_coeffs_equivalent_to_poly(capsys):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -154,6 +156,7 @@ def test_degree_one_returns_root_with_note():
     assert rep.note is not None
     assert rep.oracle_root == 2
     assert rep.oracle_agreement is True
+    assert rep.history == ((),)
 
 
 def test_invalid_options_rejected():
@@ -395,8 +398,16 @@ def test_tol_past_the_double_range(tol, status, iterations):
     ],
 )
 def test_deep_runs_pinned(text, status, iterations):
-    rep = estimate_root(parse_polynomial(text), max_iters=20000, compare_oracle=False)
+    # the run keeps a few count vectors, not one per iterate: the history of
+    # (x-3)^2 (x+1) alone, kept whole, peaks at 160 MiB
+    tracemalloc.start()
+    try:
+        rep = estimate_root(parse_polynomial(text), max_iters=20000, compare_oracle=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (rep.status, rep.iterations_used) == (status, iterations)
+    assert peak < 8 * 2**20
 
 
 @settings(max_examples=300)
@@ -454,3 +465,93 @@ def test_cycle_rule_matches_unbounded_memory(a, raw, from_e1):
     p = MonicPolynomial(tuple(a))
     v0 = CountVector.unit(p.degree) if from_e1 else CountVector(tuple(raw[: p.degree]))
     _check_against_unbounded_rule(p, v0)
+
+
+def _eager_history(p, v0, iterations):
+    # reference: every count vector kept, then read
+    vectors = iterate_counts(iteration_matrix(p), v0, iterations)
+    return tuple(tuple(ratio_estimates(v, iteration=k)) for k, v in enumerate(vectors))
+
+
+def _check_replayed_history(p, v0, max_iters, tol=TOL):
+    rep = estimate_root(p, initial=v0, max_iters=max_iters, tol=tol, compare_oracle=False)
+    eager = _eager_history(p, v0 or CountVector.unit(p.degree), rep.iterations_used)
+    assert tuple(rep.history) == eager
+    assert len(rep.history) == len(eager)
+    assert rep.history[-1] == eager[-1]
+    return rep.status
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=4),
+    st.none() | st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.integers(1, 60),
+    st.sampled_from((TOL, Fraction(1, 1000))),
+)
+def test_replayed_history_matches_eager_history(a, raw, max_iters, tol):
+    p = MonicPolynomial(tuple(a))
+    v0 = None if raw is None else CountVector(tuple(raw[: p.degree]))
+    _check_replayed_history(p, v0, max_iters, tol)
+
+
+@pytest.mark.parametrize(
+    "text, initial, max_iters, status",
+    [
+        ("x^2 - x - 1", None, 60, Status.CONVERGED),
+        ("x^3 - x - 1", (2, -1, 3), 60, Status.CONVERGED),
+        ("x^2 + x + 1", None, 60, Status.NO_REAL_LIMIT),
+        ("x^3 - x - 1", None, 7, Status.MAX_ITERATIONS_REACHED),
+        ("x^2 + 2x + 1", None, 60, Status.DEGENERATE_START),
+        ("x^2 - x - 1", (0, 0), 60, Status.DEGENERATE_START),
+    ],
+)
+def test_replayed_history_on_every_status(text, initial, max_iters, status):
+    v0 = None if initial is None else CountVector(initial)
+    assert _check_replayed_history(parse_polynomial(text), v0, max_iters) is status
+
+
+def test_history_is_a_read_only_sequence():
+    rep = estimate_root(GOLDEN, compare_oracle=False)
+    h, eager = rep.history, tuple(rep.history)
+    n = len(h)
+    assert n == rep.iterations_used + 1 == len(eager)
+    assert (h[0], h[-1], h[-n], h[n - 1], h[3]) == (eager[0], eager[-1], eager[0], eager[-1], eager[3])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            h[i]
+    for cut in (
+        slice(None),
+        slice(2, 9),
+        slice(None, None, 3),
+        slice(-4, None),
+        slice(None, None, -2),
+        slice(9, 2, -3),
+        slice(5, 5),
+        slice(n + 5, None),
+    ):
+        assert h[cut] == eager[cut], cut
+    assert tuple(reversed(h)) == eager[::-1]
+    assert h == eager and eager == h and h == list(eager)
+    assert h != eager[:-1] and h != eager[:-1] + ((),)
+    assert hash(h) == hash(eager)
+    assert estimate_root(GOLDEN, compare_oracle=False) == rep
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int<->str digit limit"
+)
+def test_json_dict_passes_the_int_digit_limit():
+    # (x-100)(x-101) converges at 2337 with 15601-bit counts, past the
+    # 4300-digit limit; the caller's own limit comes back afterwards
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        p = parse_polynomial("x^2 - 201x + 10100")
+        d = estimate_root(p, max_iters=20000, compare_oracle=False).to_json_dict()
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(d["history"]) == 2338
+    assert len(d["history"][-1]["ratios"][0]["num"]) > 4300
+    assert len(d["final"]["num"]) > 4300
