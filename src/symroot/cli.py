@@ -10,7 +10,6 @@ the word-length cap.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from fractions import Fraction
@@ -179,7 +178,8 @@ def cmd_run(p: MonicPolynomial, args) -> int:
         p, max_iters=args.iters, tol=args.tol, compare_oracle=not args.no_oracle
     )
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        report.write_json(sys.stdout)
+        print()
     elif args.format == "tsv":
         _print_tsv(report)
     else:

@@ -76,6 +76,16 @@ def count_word(w, m: int) -> CountVector:
     return CountVector(tuple(n))
 
 
+def _step(
+    first_row: tuple[int, ...], sub: tuple[int, ...], diag: tuple[int, ...], n: tuple[int, ...]
+) -> tuple[int, ...]:
+    # the one count step, on raw tuples of matching length: row 1 in full,
+    # rows 2..m at their two band entries. The deep loop and the history
+    # replay call it directly, so no CountVector is built or checked per step
+    first = sum(r * x for r, x in zip(first_row, n))
+    return (first, *(s * lo + d * hi for s, d, lo, hi in zip(sub, diag, n, n[1:])))
+
+
 def step_counts(M: IterationMatrix, v: CountVector) -> CountVector:
     """Exact matrix action of one rewrite step on a count vector.
 
@@ -84,10 +94,7 @@ def step_counts(M: IterationMatrix, v: CountVector) -> CountVector:
     """
     if M.m != v.m:
         raise DimensionMismatchError(f"matrix is {M.m}x{M.m}, vector has {v.m} entries")
-    n = v.n
-    first = sum(r * x for r, x in zip(M.first_row, n))
-    rest = (s * lo + d * hi for s, d, lo, hi in zip(M.sub, M.diag, n, n[1:]))
-    return CountVector((first, *rest))
+    return CountVector(_step(M.first_row, M.sub, M.diag, v.n))
 
 
 def iterate_counts(M: IterationMatrix, v0: CountVector, max_i: int):

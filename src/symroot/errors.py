@@ -23,6 +23,13 @@ class PolynomialSyntaxError(SymrootError):
         self.offset = offset
 
 
+class ExponentTooLargeError(PolynomialSyntaxError):
+    """Raised when an exponent in polynomial text is above MAX_EXPONENT.
+
+    offset is the byte position of the exponent's first digit.
+    """
+
+
 class NotMonicError(SymrootError):
     """Raised when the leading coefficient is not exactly 1."""
 

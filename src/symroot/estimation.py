@@ -12,15 +12,18 @@ real one.
 
 from __future__ import annotations
 
+import json
 import sys
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
+from operator import truediv
+from typing import TextIO
 
-from .counting import CountVector, step_counts
+from .counting import CountVector, _step
 from .errors import DegreeTooSmallError, DimensionMismatchError
 from .polynomial import MonicPolynomial, iteration_matrix
 
@@ -90,11 +93,12 @@ class History(Sequence):
 
     def __iter__(self) -> Iterator[tuple[RatioEstimate, ...]]:
         matrix = iteration_matrix(self._p)
-        v = self._v0
+        rows = matrix.first_row, matrix.sub, matrix.diag
+        n = self._v0.n
         for k in range(self._len):
             if k:
-                v = step_counts(matrix, v)
-            yield tuple(ratio_estimates(v, iteration=k))
+                n = _step(*rows, n)
+            yield tuple(_estimates(n, k))
 
     def __reversed__(self) -> Iterator[tuple[RatioEstimate, ...]]:
         return reversed(tuple(self))
@@ -163,6 +167,24 @@ class ConvergenceReport:
     @_any_int_digits()
     def to_json_dict(self) -> dict:
         """Stable JSON shape; integers that may exceed doubles go as strings."""
+        history = [_json_entry(i, ests) for i, ests in enumerate(self.history)]
+        return {**self._json_head(), "history": history}
+
+    @_any_int_digits()
+    def write_json(self, out: TextIO) -> None:
+        """Write json.dumps(self.to_json_dict(), indent=2) to out, byte for
+        byte, one history entry at a time, so a deep run's document is never
+        held whole."""
+        head = json.dumps({**self._json_head(), "history": []}, indent=2)
+        out.write(head[:-4])  # history is the last key: the text ends in "[]\n}"
+        sep = "[\n"
+        for i, ests in enumerate(self.history):
+            entry = json.dumps(_json_entry(i, ests), indent=2)
+            out.write(sep + "    " + entry.replace("\n", "\n    "))
+            sep = ",\n"
+        out.write("[]\n}" if sep == "[\n" else "\n  ]\n}")
+
+    def _json_head(self) -> dict:
         final = None
         if self.final_estimate is not None:
             final = {
@@ -182,17 +204,14 @@ class ConvergenceReport:
             "iterations": self.iterations_used,
             "final": final,
             "oracle": oracle,
-            "history": [
-                {
-                    "iter": i,
-                    "ratios": [
-                        {"j": r.j, "num": str(r.numerator), "den": str(r.denominator)}
-                        for r in ests
-                    ],
-                }
-                for i, ests in enumerate(self.history)
-            ],
         }
+
+
+def _json_entry(i: int, ests: tuple[RatioEstimate, ...]) -> dict:
+    return {
+        "iter": i,
+        "ratios": [{"j": r.j, "num": str(r.numerator), "den": str(r.denominator)} for r in ests],
+    }
 
 
 def _json_float(x: Fraction) -> float | None:
@@ -214,12 +233,13 @@ def ratio_estimates(v: CountVector, iteration: int = 0) -> list[RatioEstimate]:
         raise DegreeTooSmallError(
             "ratios need degree >= 2; a degree 1 polynomial shows its root directly"
         )
-    out = []
-    for j in range(1, v.m):
-        den = v.n[j]
-        if den != 0:
-            out.append(RatioEstimate(j=j, numerator=v.n[j - 1], denominator=den, iteration=iteration))
-    return out
+    return _estimates(v.n, iteration)
+
+
+def _estimates(n: tuple[int, ...], iteration: int) -> list[RatioEstimate]:
+    return [
+        RatioEstimate(j, n[j - 1], n[j], iteration) for j in range(1, len(n)) if n[j] != 0
+    ]
 
 
 def _within(a: int, b: int, c: int, d: int, tol: Fraction) -> bool:
@@ -251,11 +271,23 @@ def _settled(prev: tuple[int, ...] | None, cur: tuple[int, ...], tol: Fraction) 
     )
 
 
-def _float_ratios(n: tuple[int, ...]) -> tuple[float, ...] | None:
-    # n[j-1] / n[j] for each j, correctly rounded (int / int is, at any
-    # size); None on a zero denominator or past the double range
+def _float_ratios(n: tuple[int, ...]) -> list[float] | None:
+    # n[j-1] / n[j] for each j from the top bits; None on a zero denominator
+    # or past the double range. Every count shifts right by one amount s, so
+    # that the shortest keeps 64 bits (no shift if a count is 0), and int /
+    # int rounds the quotient correctly. A count c of 64 bits or more has
+    # |(c >> s) - c/2^s| < 1 <= 2^-63 |c/2^s| (>> floors, for either sign),
+    # and (1 + e)/(1 + f) with |e|, |f| < 2^-63 is within 2^-62 (1 + 2^-62)
+    # of 1. So each float is within 2^-53 relative, or 2^-1075 absolute if
+    # subnormal, of a quotient within 2^-61 relative of the exact ratio;
+    # _certainly_apart's margin covers both. Only the filters read these.
+    # A list: tuple() of an iterator resizes its result, and one such tuple
+    # per step fills a CPython tuple free list, memory kept for good
+    s = min(map(int.bit_length, n)) - 64
+    if s > 0:
+        n = [x >> s for x in n]
     try:
-        return tuple(n[j - 1] / n[j] for j in range(1, len(n)))
+        return [*map(truediv, n, n[1:])]
     except (ZeroDivisionError, OverflowError):
         return None
 
@@ -271,17 +303,21 @@ def _float_tol(tol: Fraction) -> float:
 
 
 def _certainly_apart(x: float, y: float, tol_f: float) -> bool:
-    # True only if the exact ratios X, Y rounded to x, y have |X - Y| > tol.
-    # Each float is within 2^-53 relative, or 2^-1074 absolute, of its ratio.
-    # Each operation below rounds by at most 2^-53 relative, and when the
-    # test passes no value in it exceeds about |x| + |y| (tol_f < |x - y|).
-    # So 2^-50 (|x| + |y|) covers the relative errors with room to spare and
-    # 2^-1000 the absolute ones; tol <= tol_f, and an overflow to inf can
-    # only stop a rejection
+    # True only if the exact ratios X, Y behind x, y have |X - Y| > tol.
+    # Let u = 2^-53 and S = |x| + |y|. By _float_ratios, truncation and
+    # rounding put x within (u + 2^-61)|X| + 2^-1074 of X, and y likewise,
+    # so |X - Y| >= |x - y| - 1.01 u S - 2^-1072. Each operation below rounds
+    # by at most u relative (2^-1075 absolute if subnormal), so when the test
+    # passes, |x - y| > (1 - 4u)(tol_f + 8u S + 2^-1000) - 2^-1075, which
+    # holds too when |x - y| overflows to inf, and tol_f <= 1.01 S. Hence
+    # |X - Y| > tol_f + (8 - 4.1 - 1.01) u S > tol_f >= tol: the margin 8u S
+    # = 2^-50 S covers the truncation's 2^-61 S with 2.8u S to spare, and
+    # 2^-1000 the absolute terms. An overflow to inf on the right can only
+    # stop a rejection
     return abs(x - y) > tol_f + 2**-50 * (abs(x) + abs(y)) + 2**-1000
 
 
-def _certainly_unsettled(prev_f: tuple[float, ...], cur_f: tuple[float, ...], tol_f: float) -> bool:
+def _certainly_unsettled(prev_f: list[float], cur_f: list[float], tol_f: float) -> bool:
     # some pair that _settled compares is certainly more than tol apart:
     # ratio j of prev and of cur, or two ratios within one profile, where the
     # extremes are enough: |x - y| - 2^-50 (|x| + |y|) grows as x, y part
@@ -290,59 +326,77 @@ def _certainly_unsettled(prev_f: tuple[float, ...], cur_f: tuple[float, ...], to
     )
 
 
+def _certainly_not_proportional(u_f: list[float] | None, v_f: list[float] | None) -> bool:
+    # proportional counts have equal exact ratios, so one pair certainly
+    # apart at tol 0 rules a revisit out; their top-bit floats need not be
+    # equal. A None side (zero denominator or overflow) rules nothing out
+    return (
+        u_f is not None
+        and v_f is not None
+        and any(map(_certainly_apart, u_f, v_f, repeat(0.0)))
+    )
+
+
 def _proportional(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    # v = c u for some nonzero c, both nonzero: cross-multiply against the
-    # first nonzero entry of u, with no gcd
+    # v = c u for some nonzero c, both nonzero and with the same zero
+    # pattern: cross-multiply against the first nonzero entry of u, no gcd
     i = next(i for i, x in enumerate(u) if x != 0)
-    return v[i] != 0 and all(v[i] * x == u[i] * y for x, y in zip(u, v))
+    return all(v[i] * x == u[i] * y for x, y in zip(u, v))
 
 
 def _iterate(
-    p: MonicPolynomial, v: CountVector, max_iters: int, tol: Fraction
-) -> tuple[Status, int, CountVector]:
-    # the count iteration of a degree >= 2 polynomial, until one stop rule
-    # fires; returns (status, iterations_used, last count vector) and keeps
-    # no history, which History replays from v_0 on demand. Every rule decides
-    # exactly on the raw counts; the float ratios only skip exact tests whose
-    # answer they already know
+    p: MonicPolynomial, n: tuple[int, ...], max_iters: int, tol: Fraction
+) -> tuple[Status, int, tuple[int, ...]]:
+    # the count iteration of a degree >= 2 polynomial from the counts n,
+    # until one stop rule fires; returns (status, iterations_used, last
+    # counts) and keeps no history, which History replays from v_0 on demand.
+    # Every rule decides exactly on the raw counts; the float ratios only skip
+    # exact tests whose answer they already know
     matrix = iteration_matrix(p)
+    rows = matrix.first_row, matrix.sub, matrix.diag
     m = p.degree
     tol_f = _float_tol(tol)
     # first visits of v_0 .. v_m only, as (counts, float ratios, k), one per
-    # direction. From k = m on, v_k lies in im(R^m), on which R is invertible
+    # direction, filed by zero pattern (as bytes, for the reason the float
+    # ratios are a list), which proportional counts share. From k = m on, v_k
+    # lies in im(R^m), on which R is invertible
     # (R^m kills R's generalized kernel); so if v_k is proportional to v_j for
     # j < k with j > m, then v_(k-1) was proportional to v_(j-1), an earlier
     # revisit. The first revisit therefore returns to one of v_0 .. v_m, the
     # sequence of directions is periodic from there on, and the cycle rule
     # fires at the same k as it would with every direction kept
-    visits: list[tuple[tuple[int, ...], tuple[float, ...] | None, int]] = []
+    visits: dict[bytes, list[tuple[tuple[int, ...], list[float] | None, int]]] = {}
     prev: tuple[int, ...] | None = None
-    prev_f: tuple[float, ...] | None = None
+    prev_f: list[float] | None = None
     k = 0
     while True:
-        if v.is_zero():
-            return Status.DEGENERATE_START, k, v
-        n = v.n
+        if not any(n):
+            return Status.DEGENERATE_START, k, n
         cur_f = _float_ratios(n)
         filtered = prev_f and cur_f and _certainly_unsettled(prev_f, cur_f, tol_f)
         if not filtered and _settled(prev, n, tol):
-            return Status.CONVERGED, k, v
-        # proportional vectors have equal exact ratios and the same zero
-        # denominators, so equal float tuples (or None for both): differing
-        # ones rule a revisit out
-        first_seen = next((j for u, u_f, j in visits if u_f == cur_f and _proportional(u, n)), None)
+            return Status.CONVERGED, k, n
+        nonzero = bytes(map(bool, n))
+        first_seen = next(
+            (
+                j
+                for u, u_f, j in visits.get(nonzero, ())
+                if not _certainly_not_proportional(u_f, cur_f) and _proportional(u, n)
+            ),
+            None,
+        )
         if first_seen is None:
             if k <= m:
-                visits.append((n, cur_f, k))
+                visits.setdefault(nonzero, []).append((n, cur_f, k))
         elif k - first_seen >= 2:
             # the direction sequence is exactly periodic, so the ratios can
             # never settle; calling it now saves waiting out max_iters
-            return Status.NO_REAL_LIMIT, k, v
+            return Status.NO_REAL_LIMIT, k, n
         if k == max_iters:
-            return Status.MAX_ITERATIONS_REACHED, k, v
+            return Status.MAX_ITERATIONS_REACHED, k, n
         prev, prev_f = n, cur_f
         k += 1
-        v = step_counts(matrix, v)
+        n = _step(*rows, n)
 
 
 def estimate_root(
@@ -379,8 +433,8 @@ def estimate_root(
         note = "degree 1: the root equals a_1 exactly; no ratio iteration needed"
     else:
         v0 = initial if initial is not None else CountVector.unit(p.degree)
-        status, iterations_used, v = _iterate(p, v0, max_iters, tol)
-        last = tuple(ratio_estimates(v, iteration=iterations_used))
+        status, iterations_used, n = _iterate(p, v0.n, max_iters, tol)
+        last = tuple(_estimates(n, iterations_used))
         history = History(p, v0, iterations_used + 1, last)
         # a settled direction carries every ratio, so the first is n_1/n_2
         final = last[0].value if status is Status.CONVERGED else None

@@ -14,13 +14,19 @@ from dataclasses import dataclass
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
+    ExponentTooLargeError,
     NonIntegerCoefficientError,
     NotMonicError,
     PolynomialSyntaxError,
     ZeroDegreeError,
 )
 
-__all__ = ["parse_polynomial", "from_coefficients", "iteration_matrix"]
+__all__ = ["MAX_EXPONENT", "parse_polynomial", "from_coefficients", "iteration_matrix"]
+
+# the largest exponent parse_polynomial accepts: the parsed degree sets the
+# length of the coefficient tuple and of every count vector, so text of a few
+# bytes must not ask for gigabytes
+MAX_EXPONENT = 100_000
 
 
 def _exact_int(value, context: str) -> int:
@@ -141,7 +147,8 @@ def parse_polynomial(text: str) -> MonicPolynomial:
     expanded coefficient of the highest power must be exactly 1.
 
     Raises PolynomialSyntaxError (with the byte offset of the offending
-    character), NotMonicError, or ZeroDegreeError.
+    character), ExponentTooLargeError (a PolynomialSyntaxError) for an
+    exponent above MAX_EXPONENT, NotMonicError, or ZeroDegreeError.
     """
     coeffs: dict[int, int] = {}
     pos = 0
@@ -182,7 +189,10 @@ def parse_polynomial(text: str) -> MonicPolynomial:
             if pos < n and text[pos] == "^":
                 pos += 1
                 skip_ws()
+                start = pos
                 power = read_uint()
+                if power > MAX_EXPONENT:
+                    raise ExponentTooLargeError(f"exponent above {MAX_EXPONENT}", start)
         elif not have_coef:
             raise PolynomialSyntaxError("expected a term", pos)
         coeffs[power] = coeffs.get(power, 0) + sign * coef

@@ -2,14 +2,13 @@ import contextlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import symroot
 from symroot.cli import main
@@ -115,11 +114,10 @@ print(code, before, peak_kib(), file=sys.stderr)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_run_tsv_memory_does_not_grow_with_the_history():
-    # tsv prints each iterate and drops it: here it prints 11 MB, while the
-    # history kept whole would raise the peak by about 12 MiB
-    argv = ["run", "--poly", "x^3 - 5x^2 + 3x + 9", "--iters", "5000", "--format", "tsv", "--no-oracle"]
+def _peak_rss_growth_kib(fmt: str) -> tuple[int, int]:
+    # (exit code, peak growth) of a deep run on (x-3)^2 (x+1) in a fresh process
+    argv = ["run", "--poly", "x^3 - 5x^2 + 3x + 9", "--iters", "5000", "--no-oracle"]
+    argv += ["--format", fmt]
     env = dict(os.environ, PYTHONPATH=str(Path(symroot.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
@@ -130,8 +128,36 @@ def test_run_tsv_memory_does_not_grow_with_the_history():
         timeout=120,
     )
     code, before, after = map(int, done.stderr.split())
+    return code, after - before
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_run_tsv_memory_does_not_grow_with_the_history():
+    # tsv prints each iterate and drops it: here it prints 11 MB, while the
+    # history kept whole would raise the peak by about 12 MiB
+    code, growth = _peak_rss_growth_kib("tsv")
     assert code == 2
-    assert after - before < 4 * 1024
+    assert growth < 4 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_run_json_memory_does_not_grow_with_the_history():
+    # json writes the history array entry by entry: here it prints 31 MB,
+    # while the whole document built as one dict and one string raised the
+    # peak by about 110 MiB
+    code, growth = _peak_rss_growth_kib("json")
+    assert code == 2
+    assert growth < 4 * 1024
+
+
+@pytest.mark.parametrize(
+    "text, iters",
+    [("x^2 - x - 1", 256), ("x^2 + 2x + 2", 256), ("x - 5", 256), ("x^2 + 3x + 1", 40)],
+)
+def test_run_json_streams_the_bytes_of_one_dump(capsys, text, iters):
+    _, out, _ = run_cli(capsys, "run", "--poly", text, "--iters", str(iters), "--format", "json")
+    report = symroot.estimate_root(symroot.parse_polynomial(text), max_iters=iters)
+    assert out == json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
 def test_run_coeffs_equivalent_to_poly(capsys):
@@ -343,12 +369,6 @@ def test_run_json_float_is_null_past_the_double_range(capsys):
     assert d["oracle"] == {"float": None, "agrees": True}
 
 
-def _exponent_of_three_digits(text: str) -> bool:
-    # such an exponent builds a coefficient tuple of that length before any
-    # limit applies; that defect is out of this test's scope
-    return re.search(r"\^ *[0-9]{3}", text) is not None
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(
@@ -359,7 +379,6 @@ def _exponent_of_three_digits(text: str) -> bool:
     )
 )
 def test_run_always_ends_in_a_documented_exit_code(source):
-    assume(not _exponent_of_three_digits(source[-1]))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["run", *source, "--iters", "8"])
     assert code in (0, 2, 3, 4)

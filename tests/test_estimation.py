@@ -21,7 +21,13 @@ from symroot import (
 )
 from symroot.counting import step_counts
 from symroot.errors import DegreeTooSmallError
-from symroot.estimation import _certainly_unsettled, _float_ratios, _float_tol, _settled
+from symroot.estimation import (
+    _certainly_not_proportional,
+    _certainly_unsettled,
+    _float_ratios,
+    _float_tol,
+    _settled,
+)
 from symroot.polynomial import MonicPolynomial
 
 GOLDEN = parse_polynomial("x^2 - x - 1")
@@ -352,8 +358,57 @@ def test_float_filter_never_overrides_the_exact_settle_rule(case):
     uf, wf = _float_ratios(u), _float_ratios(w)
     if _settled(u, w, tol):
         assert not (uf and wf and _certainly_unsettled(uf, wf, tol_f))
-    # proportional counts have equal float ratios, which the cycle check needs
-    assert _float_ratios(tuple(-7 * x for x in u)) == uf
+    # the cycle prefilter needs only this of proportional counts: the same
+    # zero pattern, and no ratio pair certainly apart at tol 0 (their
+    # top-bit floats may differ)
+    for c in (-7, 3**200 + 1):
+        v = tuple(c * x for x in u)
+        assert list(map(bool, v)) == list(map(bool, u))
+        assert not _certainly_not_proportional(_float_ratios(v), uf)
+
+
+@st.composite
+def wide_counts(draw):
+    # counts of similar or unrelated sizes up to about 2^3000, either sign,
+    # zeros included
+    m = draw(st.integers(2, 5))
+    base = draw(st.integers(0, 3000))
+    spread = draw(st.sampled_from((2, 80, 3000)))
+    n = []
+    for _ in range(m):
+        bits = min(3000, max(0, base + draw(st.integers(-spread, spread))))
+        n.append(draw(st.integers(-(2**bits), 2**bits)))
+    return tuple(n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_counts())
+def test_top_bit_ratios_stay_within_the_proved_bound(n):
+    # _float_ratios: within (2^-53 + 2^-61)|X| + 2^-1074 of each exact ratio
+    # X, the error _certainly_apart's margin is proved to cover
+    f = _float_ratios(n)
+    exact = [Fraction(a, b) for a, b in zip(n, n[1:]) if b]
+    if f is None:
+        assert len(exact) < len(n) - 1 or any(abs(x) > 2**1023 for x in exact)
+        return
+    rel, tiny = Fraction(1, 2**53) + Fraction(1, 2**61), Fraction(1, 2**1074)
+    for x, want in zip(f, exact):
+        assert abs(Fraction(x) - want) <= rel * abs(want) + tiny
+
+
+def test_cycle_rule_fires_when_one_side_overflows():
+    # x^2 + 2x + 2 has R^2 = -I, so v_2 = -v_0 and the cycle rule fires at
+    # k = 2. Here v_0's ratio sits just below the double range: the top bits
+    # of v_0 give a quotient past it (None) and those of -v_0, which floor
+    # the other way, one inside it. None must not rule the revisit out
+    b = 2**100 + 2**37 - 1
+    a = (2**1087 - 2**1033 + 2**1000) << 37
+    v0 = (a, b)
+    assert _float_ratios(v0) is None
+    assert _float_ratios((-a, -b)) is not None
+    assert float(Fraction(a, b)) < math.inf
+    rep = _check_against_unbounded_rule(parse_polynomial("x^2 + 2x + 2"), CountVector(v0))
+    assert (rep.status, rep.iterations_used) == (Status.NO_REAL_LIMIT, 2)
 
 
 @pytest.mark.parametrize(

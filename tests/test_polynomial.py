@@ -8,12 +8,13 @@ from symroot.counting import step_counts
 from symroot.errors import (
     DimensionMismatchError,
     EmptyInputError,
+    ExponentTooLargeError,
     NonIntegerCoefficientError,
     NotMonicError,
     PolynomialSyntaxError,
     ZeroDegreeError,
 )
-from symroot.polynomial import IterationMatrix, MonicPolynomial
+from symroot.polynomial import MAX_EXPONENT, IterationMatrix, MonicPolynomial
 
 
 def test_parse_golden():
@@ -66,6 +67,17 @@ def test_parse_syntax_errors_carry_offsets():
         parse_polynomial("x^-2")
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("3*")
+
+
+def test_parse_exponent_bound():
+    assert parse_polynomial(f"x^{MAX_EXPONENT} - 1").degree == MAX_EXPONENT
+    # raised at the exponent while parsing, before a coefficient tuple of
+    # that length is built: a 10^40 exponent would not fit in memory
+    for text, offset in ((f"x^{MAX_EXPONENT + 1}", 2), ("x^2 - 3x^ " + "9" * 40 + " + 1", 10)):
+        with pytest.raises(ExponentTooLargeError) as e:
+            parse_polynomial(text)
+        assert isinstance(e.value, PolynomialSyntaxError)
+        assert e.value.offset == offset
 
 
 def test_parse_degree_errors():
