@@ -1,8 +1,9 @@
 """Count vectors and the exact matrix picture of rewriting.
 
 The count of a word is n_j = (number of j+ letters) - (number of j- letters).
-One rewrite step acts on counts as the fixed integer matrix built by
-polynomial.iteration_matrix, and verify_commutation checks that identity on
+One rewrite step acts on counts as the fixed integer matrix I + C(p), the
+identity plus the companion matrix of p; the step reads its rows straight
+off p's coefficients, and verify_commutation checks that identity on
 concrete words with exact integer equality. All arithmetic is arbitrary
 precision; entries grow geometrically with iteration depth and that is fine.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import add, mul
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, NonIntegerCoefficientError
 from .polynomial import IterationMatrix, iteration_matrix
@@ -76,25 +78,23 @@ def count_word(w, m: int) -> CountVector:
     return CountVector(tuple(n))
 
 
-def _step(
-    first_row: tuple[int, ...], sub: tuple[int, ...], diag: tuple[int, ...], n: tuple[int, ...]
-) -> tuple[int, ...]:
-    # the one count step, on raw tuples of matching length: row 1 in full,
-    # rows 2..m at their two band entries. The deep loop and the history
-    # replay call it directly, so no CountVector is built or checked per step
-    first = sum(r * x for r, x in zip(first_row, n))
-    return (first, *(s * lo + d * hi for s, d, lo, hi in zip(sub, diag, n, n[1:])))
+def _step(a: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
+    # the one count step (I + C(p)) n, read off p's a_1..a_m: row 1 is
+    # n_1 + sum a_i n_i and row i is n_(i-1) + n_i, with no multiplication
+    # by the matrix's ones. The deep loop and the history replay call it on
+    # raw tuples, so no CountVector is built or checked per step
+    return (sum(map(mul, a, n), n[0]), *map(add, n, n[1:]))
 
 
 def step_counts(M: IterationMatrix, v: CountVector) -> CountVector:
     """Exact matrix action of one rewrite step on a count vector.
 
-    Row 1 is read in full; rows 2..m are read at their two band entries
-    (columns i-1 and i). Cost is O(m) big-integer operations.
+    Row 1 is n_1 + a_1 n_1 + ... + a_m n_m and row i is n_(i-1) + n_i, for
+    the a_i of M's polynomial. Cost is O(m) big-integer operations.
     """
     if M.m != v.m:
         raise DimensionMismatchError(f"matrix is {M.m}x{M.m}, vector has {v.m} entries")
-    return CountVector(_step(M.first_row, M.sub, M.diag, v.n))
+    return CountVector(_step(M.polynomial.a, v.n))
 
 
 def iterate_counts(M: IterationMatrix, v0: CountVector, max_i: int):

@@ -25,7 +25,7 @@ from typing import TextIO
 
 from .counting import CountVector, _step
 from .errors import DegreeTooSmallError, DimensionMismatchError
-from .polynomial import MonicPolynomial, iteration_matrix
+from .polynomial import MonicPolynomial
 
 __all__ = [
     "DEFAULT_TOL",
@@ -92,12 +92,10 @@ class History(Sequence):
         return self._len
 
     def __iter__(self) -> Iterator[tuple[RatioEstimate, ...]]:
-        matrix = iteration_matrix(self._p)
-        rows = matrix.first_row, matrix.sub, matrix.diag
-        n = self._v0.n
+        a, n = self._p.a, self._v0.n
         for k in range(self._len):
             if k:
-                n = _step(*rows, n)
+                n = _step(a, n)
             yield tuple(_estimates(n, k))
 
     def __reversed__(self) -> Iterator[tuple[RatioEstimate, ...]]:
@@ -352,9 +350,7 @@ def _iterate(
     # counts) and keeps no history, which History replays from v_0 on demand.
     # Every rule decides exactly on the raw counts; the float ratios only skip
     # exact tests whose answer they already know
-    matrix = iteration_matrix(p)
-    rows = matrix.first_row, matrix.sub, matrix.diag
-    m = p.degree
+    a, m = p.a, p.degree
     tol_f = _float_tol(tol)
     # first visits of v_0 .. v_m only, as (counts, float ratios, k), one per
     # direction, filed by zero pattern (as bytes, for the reason the float
@@ -396,7 +392,7 @@ def _iterate(
             return Status.MAX_ITERATIONS_REACHED, k, n
         prev, prev_f = n, cur_f
         k += 1
-        n = _step(*rows, n)
+        n = _step(a, n)
 
 
 def estimate_root(

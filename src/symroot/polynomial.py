@@ -12,7 +12,6 @@ import operator
 from dataclasses import dataclass
 
 from .errors import (
-    DimensionMismatchError,
     EmptyInputError,
     ExponentTooLargeError,
     NonIntegerCoefficientError,
@@ -100,36 +99,18 @@ def _power_text(k: int) -> str:
 
 @dataclass(frozen=True)
 class IterationMatrix:
-    """The band of an m x m count-step matrix: every entry step_counts reads.
+    """The m x m count-step matrix I + C(p), held as its polynomial p.
 
-    first_row is row 1 in full; sub and diag hold the sub-diagonal and
-    diagonal entries of rows 2..m (m - 1 each); every other entry is zero.
-    The type enforces only shape and integrality. The identity-plus-companion
-    values are a guarantee of iteration_matrix(), not of the type, so tests
-    can build deliberately tampered bands for harness sanity checks.
+    Row 1 is (1 + a_1, a_2, ..., a_m); every later row i has ones at
+    columns i-1 and i and zeros elsewhere, so p's a_i are its only free
+    entries and step_counts reads the step straight off them.
     """
 
-    first_row: tuple[int, ...]
-    sub: tuple[int, ...]
-    diag: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for name in ("first_row", "sub", "diag"):
-            values = tuple(
-                _exact_int(v, f"{name}[{j}]") for j, v in enumerate(getattr(self, name))
-            )
-            object.__setattr__(self, name, values)
-        if not self.first_row:
-            raise EmptyInputError("matrix has no rows")
-        if len(self.sub) != self.m - 1 or len(self.diag) != self.m - 1:
-            raise DimensionMismatchError(
-                f"a {self.m}x{self.m} band needs {self.m - 1} sub-diagonal and diagonal "
-                f"entries; got {len(self.sub)} and {len(self.diag)}"
-            )
+    polynomial: MonicPolynomial
 
     @property
     def m(self) -> int:
-        return len(self.first_row)
+        return self.polynomial.degree
 
 
 # str.isdigit() also accepts superscript and non-Latin digits, which int()
@@ -242,11 +223,6 @@ def from_coefficients(c) -> MonicPolynomial:
 
 
 def iteration_matrix(p: MonicPolynomial) -> IterationMatrix:
-    """Identity plus the companion matrix of p, as its band.
-
-    Row 1 is (1 + a_1, a_2, ..., a_m); every later row i has ones at
-    columns i-1 and i and zeros elsewhere. One rewriting step acts on
-    count vectors as this matrix.
-    """
-    ones = (1,) * (p.degree - 1)
-    return IterationMatrix((1 + p.a[0],) + p.a[1:], ones, ones)
+    """Identity plus the companion matrix of p: one rewriting step acts on
+    count vectors as this matrix."""
+    return IterationMatrix(p)

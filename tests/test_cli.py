@@ -279,15 +279,12 @@ def test_verify_seed_changes_words_not_verdict(capsys):
 
 
 def test_verify_fault_injection_exits_one(capsys, monkeypatch):
-    import dataclasses
-
     import symroot.counting as counting
-    from symroot.polynomial import iteration_matrix as real_matrix
+    from symroot.polynomial import IterationMatrix, MonicPolynomial
 
     def tampered(p):
-        M = real_matrix(p)
-        # one sub-diagonal entry of the band off by one
-        return dataclasses.replace(M, sub=(M.sub[0] + 1,) + M.sub[1:])
+        # the polynomial behind the matrix with a_1 off by one
+        return IterationMatrix(MonicPolynomial((p.a[0] + 1,) + p.a[1:]))
 
     monkeypatch.setattr(counting, "iteration_matrix", tampered)
     code, out, _ = run_cli(capsys, "verify", "--poly", "x^2 - x - 1", "--samples", "100", "--seed", "7")

@@ -21,7 +21,7 @@ from symroot import (
 )
 from symroot.counting import step_counts
 from symroot.errors import DimensionMismatchError, IndexOutOfRangeError
-from symroot.polynomial import IterationMatrix, MonicPolynomial
+from symroot.polynomial import MonicPolynomial
 from symroot.rewriting import letter_text
 
 
@@ -72,8 +72,9 @@ def test_step_counts_examples():
     M2 = iteration_matrix(MonicPolynomial((3, -1)))
     assert step_counts(M2, CountVector((4, 1))) == CountVector((15, 5))
     assert step_counts(M2, CountVector.zero(2)) == CountVector.zero(2)
-    # a tampered band: sub-diagonal entries weigh n_(i-1), diagonal ones n_i
-    assert step_counts(IterationMatrix((1, 0), (2,), (3,)), CountVector((5, 7))) == CountVector((5, 31))
+    # row 1 weighs n_1 once plus a_i n_i, row 2 is n_1 + n_2: 5 + 2*5 + 3*7, 5 + 7
+    M3 = iteration_matrix(MonicPolynomial((2, 3)))
+    assert step_counts(M3, CountVector((5, 7))) == CountVector((36, 12))
 
 
 def test_step_counts_dimension_mismatch():

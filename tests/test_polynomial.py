@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from symroot import CountVector, from_coefficients, iteration_matrix, parse_polynomial
 from symroot.counting import step_counts
 from symroot.errors import (
-    DimensionMismatchError,
     EmptyInputError,
     ExponentTooLargeError,
     NonIntegerCoefficientError,
@@ -107,27 +106,23 @@ def test_from_coefficients_errors():
 
 
 def test_iteration_matrix_examples():
-    assert iteration_matrix(MonicPolynomial((1, 1))) == IterationMatrix((2, 1), (1,), (1,))
-    assert iteration_matrix(MonicPolynomial((2,))) == IterationMatrix((3,), (), ())
-    assert iteration_matrix(MonicPolynomial((0, 1, 1))) == IterationMatrix(
-        (1, 1, 1), (1, 1), (1, 1)
-    )
+    for a in ((1, 1), (2,), (0, 1, 1)):
+        p = MonicPolynomial(a)
+        assert iteration_matrix(p) == IterationMatrix(p)
+        assert iteration_matrix(p).m == len(a)
 
 
 def test_iteration_matrix_type_checks_shape_only():
-    # deliberately tampered bands must be constructible for harness tests
-    M = IterationMatrix((5, 5), (5,), (5,))
-    assert M.m == 2
-    with pytest.raises(DimensionMismatchError):
-        IterationMatrix((1, 2), (3,), ())
-    with pytest.raises(DimensionMismatchError):
-        IterationMatrix((1,), (1,), (1,))
-    with pytest.raises(EmptyInputError):
-        IterationMatrix((), (), ())
+    # the matrix is its polynomial: MonicPolynomial checks the degree and
+    # that every a_i is an exact integer; step_counts checks the vector's
+    # length (test_step_counts_dimension_mismatch)
+    assert IterationMatrix(MonicPolynomial((5, 5))).m == 2
+    with pytest.raises(ZeroDegreeError):
+        IterationMatrix(MonicPolynomial(()))
     with pytest.raises(NonIntegerCoefficientError):
-        IterationMatrix((1.5,), (), ())
+        IterationMatrix(MonicPolynomial((1.5,)))
     with pytest.raises(NonIntegerCoefficientError):
-        IterationMatrix((1, 1), (True,), (1,))
+        IterationMatrix(MonicPolynomial((1, True)))
 
 
 def test_eval_at():
