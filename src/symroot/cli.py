@@ -4,13 +4,15 @@ Exit codes: 0 converged (and the oracle, when consulted, agrees), 1 a verify
 check found a counterexample, 2 the ratios did not settle (NoRealLimit,
 MaxIterationsReached, DegenerateStart), 3 bad input or options, 4 converged
 but on a root other than the oracle's largest real root, 5 trace/verify hit
-the word-length cap.
+the word-length cap, 141 the reader of stdout closed it early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ from .estimation import (
     _any_int_digits,
     estimate_root,
 )
-from .polynomial import MonicPolynomial, from_coefficients, iteration_matrix, parse_polynomial
+from .polynomial import MAX_EXPONENT, MonicPolynomial, from_coefficients, parse_polynomial
 from .rewriting import (
     MINUS,
     PLUS,
@@ -67,6 +69,14 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_fraction(text: str) -> Fraction:
+    # Fraction's time grows faster than a decimal exponent's magnitude
+    # (1e-3000000 takes seconds), while written-out digits cost time linear
+    # in their length; so the exponent is bounded as --poly's is
+    exponent = re.search(r"[eE][-+]?([\d_]+)", text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(f"exponent above {MAX_EXPONENT}: {text!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -122,13 +132,12 @@ def _build_parser() -> _Parser:
 def _polynomial_from_args(args) -> MonicPolynomial:
     if args.coeffs is not None:
         parts = [s.strip() for s in args.coeffs.split(",")]
-        try:
-            values = [int(s) for s in parts]
-        except ValueError:
+        # int() also reads underscores and non-ASCII digits; --poly does not
+        if not all(re.fullmatch(r"[+-]?[0-9]+", s) for s in parts):
             raise NonIntegerCoefficientError(
                 f"--coeffs entries must be integers, got {args.coeffs!r}"
-            ) from None
-        return from_coefficients(values)
+            )
+        return from_coefficients([int(s) for s in parts])
     return parse_polynomial(args.poly)
 
 
@@ -231,7 +240,7 @@ def cmd_verify(p: MonicPolynomial, args) -> int:
 
     words = iterate_words(rule, default_initial_word(), args.depth, cap=cap)
     rles = iterate_words(rule, RleWord.compress(default_initial_word()), args.depth, cap=cap)
-    counts = iterate_counts(iteration_matrix(p), CountVector.unit(m), args.depth)
+    counts = iterate_counts(p, CountVector.unit(m), args.depth)
     for k in range(args.depth + 1):
         cw = count_word(words[k], m)
         cr = count_word(rles[k], m)
@@ -263,12 +272,9 @@ def _glue_coeff_values(argv: list[str]) -> list[str]:
     return glued
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+def _dispatch(argv: list[str]) -> int:
     try:
-        args = parser.parse_args(_glue_coeff_values(list(argv)))
+        args = _build_parser().parse_args(_glue_coeff_values(argv))
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 3
     try:
@@ -285,6 +291,18 @@ def main(argv=None) -> int:
     except SymrootError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    try:
+        code = _dispatch(list(sys.argv[1:] if argv is None else argv))
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that nothing more
+        # is written, not even the flush at exit, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from operator import add, mul
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, NonIntegerCoefficientError
-from .polynomial import IterationMatrix, iteration_matrix
-from .rewriting import WORD_CAP_DEFAULT, ReplacementRule, RleWord, letter_text, rewrite
+from .polynomial import MonicPolynomial
+from .rewriting import WORD_CAP_DEFAULT, ReplacementRule, Word, letter_text, rewrite
 
 __all__ = ["CountVector", "count_word", "iterate_counts", "verify_commutation"]
 
@@ -41,10 +41,6 @@ class CountVector:
         return len(self.n)
 
     @classmethod
-    def zero(cls, m: int) -> "CountVector":
-        return cls((0,) * m)
-
-    @classmethod
     def unit(cls, m: int, j: int = 1) -> "CountVector":
         """e_j, 1-based; the default e_1 is the count of the word "1+"."""
         if not 1 <= j <= m:
@@ -54,23 +50,11 @@ class CountVector:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.n)
 
-    def __add__(self, other: "CountVector") -> "CountVector":
-        if self.m != other.m:
-            raise DimensionMismatchError(f"cannot add lengths {self.m} and {other.m}")
-        return CountVector(tuple(x + y for x, y in zip(self.n, other.n)))
 
-    def __neg__(self) -> "CountVector":
-        return CountVector(tuple(-x for x in self.n))
-
-    def scaled(self, c: int) -> "CountVector":
-        return CountVector(tuple(c * x for x in self.n))
-
-
-def count_word(w, m: int) -> CountVector:
-    """Letter counts of a Word or RleWord; RLE input is never expanded."""
-    pairs = w.runs if isinstance(w, RleWord) else Counter(w.letters).items()
+def count_word(w: Word, m: int) -> CountVector:
+    """Letter counts of a Word."""
     n = [0] * m
-    for l, k in pairs:
+    for l, k in Counter(w.letters).items():
         i = abs(l)
         if not 1 <= i <= m:
             raise IndexOutOfRangeError(f"letter {letter_text(l)} does not fit m = {m}")
@@ -86,34 +70,35 @@ def _step(a: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
     return (sum(map(mul, a, n), n[0]), *map(add, n, n[1:]))
 
 
-def step_counts(M: IterationMatrix, v: CountVector) -> CountVector:
-    """Exact matrix action of one rewrite step on a count vector.
+def step_counts(p: MonicPolynomial, v: CountVector) -> CountVector:
+    """Exact action of one rewrite step on a count vector: the matrix I + C(p).
 
     Row 1 is n_1 + a_1 n_1 + ... + a_m n_m and row i is n_(i-1) + n_i, for
-    the a_i of M's polynomial. Cost is O(m) big-integer operations.
+    the a_i of p. Cost is O(m) big-integer operations.
     """
-    if M.m != v.m:
-        raise DimensionMismatchError(f"matrix is {M.m}x{M.m}, vector has {v.m} entries")
-    return CountVector(_step(M.polynomial.a, v.n))
+    if p.degree != v.m:
+        raise DimensionMismatchError(f"matrix is {p.degree}x{p.degree}, vector has {v.m} entries")
+    return CountVector(_step(p.a, v.n))
 
 
-def iterate_counts(M: IterationMatrix, v0: CountVector, max_i: int):
+def iterate_counts(p: MonicPolynomial, v0: CountVector, max_i: int):
     """v_0 .. v_max_i under repeated step_counts, all exact."""
     if max_i < 0:
         raise ValueError("iteration count must be nonnegative")
     out = [v0]
     for _ in range(max_i):
-        out.append(step_counts(M, out[-1]))
+        out.append(step_counts(p, out[-1]))
     return tuple(out)
 
 
-def verify_commutation(rule: ReplacementRule, w, cap: int = WORD_CAP_DEFAULT) -> bool:
-    """Check count(rewrite(w)) == matrix_step(count(w)), exactly.
+def verify_commutation(rule: ReplacementRule, w: Word, cap: int = WORD_CAP_DEFAULT) -> bool:
+    """Check count(rewrite(w)) == step_counts(p, count(w)), exactly.
 
-    True for every word when the rule and matrix come from the same
-    polynomial; the literal rewrite side is the independent oracle here.
+    True for every word, since the rule and the step both come from the
+    rule's polynomial p; the literal rewrite side is the independent oracle
+    here.
     """
     m = rule.m
     lhs = count_word(rewrite(rule, w, cap=cap), m)
-    rhs = step_counts(iteration_matrix(rule.polynomial), count_word(w, m))
+    rhs = step_counts(rule.polynomial, count_word(w, m))
     return lhs == rhs

@@ -149,7 +149,7 @@ class ConvergenceReport:
     """Everything one estimate_root run decided and saw along the way.
 
     history holds the ratio estimates of every iterate v_0 .. v_k: a History
-    that replays them from v_0 when read, or ((),) for degree 1.
+    that replays them from v_0 when read.
     """
 
     polynomial: MonicPolynomial
@@ -421,20 +421,20 @@ def estimate_root(
             f"initial vector has {initial.m} entries, polynomial degree is {p.degree}"
         )
 
+    v0 = initial if initial is not None else CountVector.unit(p.degree)
     if p.degree == 1:
         # no adjacent pair exists, but no iteration is needed either:
         # the root is a_1 exactly
-        status, iterations_used, history = Status.CONVERGED, 0, ((),)
+        status, iterations_used, last = Status.CONVERGED, 0, ()
         final = Fraction(p.a[0])
         note = "degree 1: the root equals a_1 exactly; no ratio iteration needed"
     else:
-        v0 = initial if initial is not None else CountVector.unit(p.degree)
         status, iterations_used, n = _iterate(p, v0.n, max_iters, tol)
         last = tuple(_estimates(n, iterations_used))
-        history = History(p, v0, iterations_used + 1, last)
         # a settled direction carries every ratio, so the first is n_1/n_2
         final = last[0].value if status is Status.CONVERGED else None
         note = None
+    history = History(p, v0, iterations_used + 1, last)
 
     oracle_root = agreement = discrepancy = None
     if status is Status.CONVERGED and compare_oracle:

@@ -1,4 +1,4 @@
-"""Exact integer monic polynomials and their iteration matrices.
+"""Exact integer monic polynomials.
 
 Everything downstream works with the form p(x) = x^m - a_1 x^(m-1) - ... - a_m.
 Users hand in ordinary polynomial text or an ascending coefficient list; the
@@ -95,22 +95,6 @@ class MonicPolynomial:
 
 def _power_text(k: int) -> str:
     return "x" if k == 1 else f"x^{k}"
-
-
-@dataclass(frozen=True)
-class IterationMatrix:
-    """The m x m count-step matrix I + C(p), held as its polynomial p.
-
-    Row 1 is (1 + a_1, a_2, ..., a_m); every later row i has ones at
-    columns i-1 and i and zeros elsewhere, so p's a_i are its only free
-    entries and step_counts reads the step straight off them.
-    """
-
-    polynomial: MonicPolynomial
-
-    @property
-    def m(self) -> int:
-        return self.polynomial.degree
 
 
 # str.isdigit() also accepts superscript and non-Latin digits, which int()
@@ -222,7 +206,8 @@ def from_coefficients(c) -> MonicPolynomial:
     return MonicPolynomial(tuple(-seq[m - i] for i in range(1, m + 1)))
 
 
-def iteration_matrix(p: MonicPolynomial) -> IterationMatrix:
-    """Identity plus the companion matrix of p: one rewriting step acts on
-    count vectors as this matrix."""
-    return IterationMatrix(p)
+def iteration_matrix(p: MonicPolynomial) -> MonicPolynomial:
+    """p itself: the count-step matrix I + C(p) is held as its polynomial,
+    which step_counts and iterate_counts take directly. Kept for callers
+    that build the matrix first."""
+    return p

@@ -1,4 +1,4 @@
-"""Signed letters, words, run-length words, and the replacement rule.
+"""Signed letters, words, and the replacement rule.
 
 Letter i+ is the int i and letter i- is the int -i, so the index of a letter
 is its absolute value and its sign is its sign; in text form they are
@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
-from operator import itemgetter
 
 from .errors import EngineOverflowError, IndexOutOfRangeError
 from .polynomial import MonicPolynomial
@@ -71,12 +70,6 @@ class Word:
     def letter_count(self) -> int:
         return len(self.letters)
 
-    def __add__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def flipped(self) -> "Word":
-        return Word(tuple(-l for l in self.letters))
-
     def render(self) -> str:
         """Trace text form: space-separated letters, e.g. "1+ 1- 2+"."""
         return " ".join(map(letter_text, self.letters))
@@ -85,50 +78,17 @@ class Word:
         return self.render()
 
 
-@dataclass(frozen=True)
-class RleWord:
-    """Run-length compressed word: ordered (letter, multiplicity) runs.
-
-    Multiplicities must be positive; the constructor merges adjacent runs
-    that carry the same letter, so stored runs are always in normal form.
-    """
-
-    runs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        merged = []
-        for l, group in groupby(self.runs, key=itemgetter(0)):
-            total = 0
-            for _, k in group:
-                if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-                    raise ValueError(f"run multiplicity must be a positive integer, got {k!r}")
-                total += k
-            merged.append((l, total))
-        object.__setattr__(self, "runs", tuple(merged))
-
-    @property
-    def letter_count(self) -> int:
-        return sum(k for _, k in self.runs)
-
-    def expand(self) -> Word:
-        return Word(tuple(chain.from_iterable(repeat(l, k) for l, k in self.runs)))
+class RleWord(Word):
+    """A Word that renders in run-length form; its letters are the word's own."""
 
     @classmethod
     def compress(cls, w: Word) -> "RleWord":
-        # one run per letter; the constructor merges them into normal form
-        return cls(tuple(zip(w.letters, repeat(1))))
-
-    def flipped(self) -> "RleWord":
-        return RleWord(tuple((-l, k) for l, k in self.runs))
+        return cls(w.letters)
 
     def render(self) -> str:
         """Trace text form with powers, e.g. "1+^3 2+"."""
-        return " ".join(
-            f"{letter_text(l)}^{k}" if k > 1 else letter_text(l) for l, k in self.runs
-        )
-
-    def __str__(self) -> str:
-        return self.render()
+        runs = ((l, sum(1 for _ in group)) for l, group in groupby(self.letters))
+        return " ".join(f"{letter_text(l)}^{k}" if k > 1 else letter_text(l) for l, k in runs)
 
 
 @dataclass(frozen=True)
@@ -141,9 +101,9 @@ class ReplacementRule:
     def m(self) -> int:
         return self.polynomial.degree
 
-    def image(self, l: int) -> RleWord:
-        """The image of letter l (see build_rule), in run-length form, so a
-        huge a_i costs nothing here."""
+    def image(self, l: int) -> tuple[tuple[int, int], ...]:
+        """The image of letter l (see build_rule) as (letter, multiplicity)
+        runs, so a huge a_i costs nothing here."""
         i = abs(l)
         if not 1 <= i <= self.m:
             raise IndexOutOfRangeError(
@@ -156,7 +116,7 @@ class ReplacementRule:
         runs.append((l, 1))
         if i < self.m:
             runs.append((sign * (i + 1), 1))
-        return RleWord(tuple(runs))
+        return tuple(runs)
 
 
 def build_rule(p: MonicPolynomial) -> ReplacementRule:
@@ -169,32 +129,25 @@ def build_rule(p: MonicPolynomial) -> ReplacementRule:
     return ReplacementRule(p)
 
 
-def rewrite(rule: ReplacementRule, w, cap: int = WORD_CAP_DEFAULT):
-    """One parallel replacement step; output representation matches the input.
+def rewrite(rule: ReplacementRule, w: Word, cap: int = WORD_CAP_DEFAULT) -> Word:
+    """One parallel replacement step; the output has the input's type.
 
-    The output length is known from the letter tally and the image lengths
-    alone, so the cap is checked before any image or output is expanded. An
-    RleWord is rewritten as its expansion and compressed again; normal form
-    makes the result unique.
+    The output length is known from the letter tally and the run lengths of
+    the images alone, so the cap is checked before any image or output is
+    expanded.
     """
-    rle = isinstance(w, RleWord)
-    if rle:
-        tally = Counter()
-        for l, k in w.runs:
-            tally[l] += k
-    else:
-        tally = Counter(w.letters)
+    tally = Counter(w.letters)
     images = {l: rule.image(l) for l in tally}
-    predicted = sum(k * images[l].letter_count for l, k in tally.items())
+    predicted = sum(k * sum(r for _, r in images[l]) for l, k in tally.items())
     if predicted > cap:
         raise EngineOverflowError(
             f"rewrite would produce {predicted} letters, over the cap of {cap}; "
             "use `symroot run` (or iterate_counts in the library) for deep iteration"
         )
-    expanded = {l: image.expand().letters for l, image in images.items()}
-    letters = w.expand().letters if rle else w.letters
-    out = Word(tuple(chain.from_iterable(map(expanded.__getitem__, letters))))
-    return RleWord.compress(out) if rle else out
+    expanded = {
+        l: tuple(chain.from_iterable(repeat(x, r) for x, r in runs)) for l, runs in images.items()
+    }
+    return type(w)(tuple(chain.from_iterable(map(expanded.__getitem__, w.letters))))
 
 
 def iterate_words(rule: ReplacementRule, w0, i: int, cap: int = WORD_CAP_DEFAULT):

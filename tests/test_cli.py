@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -164,6 +165,9 @@ def test_run_coeffs_equivalent_to_poly(capsys):
     code1, out1, _ = run_cli(capsys, "run", "--poly", "x^2 - x - 1", "--format", "json")
     code2, out2, _ = run_cli(capsys, "run", "--coeffs", "-1,-1,1", "--format", "json")
     assert (code1, out1) == (code2, out2)
+    # a sign and spaces around an entry are allowed
+    code3, out3, _ = run_cli(capsys, "run", "--coeffs= -1 , -1 ,+1 ", "--format", "json")
+    assert (code1, out1) == (code3, out3)
 
 
 def test_run_exit_codes():
@@ -204,9 +208,45 @@ def test_syntax_error_offset_reaches_stderr(capsys):
 
 
 def test_bad_coeffs_rejected(capsys):
-    code, _, err = run_cli(capsys, "run", "--coeffs", "1,2,x")
-    assert code == 3
-    assert "integers" in err
+    # only a sign and ASCII digits: int() would read the last two as
+    # x^2 - 10x - 1 and x^2 - x - 1
+    for coeffs in ("1,2,x", "-1,-1_0,1", "-1,-\u0661,1"):
+        code, _, err = run_cli(capsys, "run", f"--coeffs={coeffs}")
+        assert code == 3, coeffs
+        assert err == f"error: --coeffs entries must be integers, got {coeffs!r}\n"
+
+
+def test_tol_exponent_is_bounded(capsys):
+    t0 = time.perf_counter()
+    for tol in ("1e-100001", "1E+100001", "1e-1_00001", "1e-0000000000100001"):
+        code, _, err = run_cli(capsys, "run", "--poly", "x^2 - x - 1", "--tol", tol)
+        assert code == 3, tol
+        assert f"argument --tol: exponent above 100000: {tol!r}" in err
+    assert time.perf_counter() - t0 < 1.0
+    # a tol written out in digits costs time linear in its length
+    tol = "0." + "0" * 4000 + "1"
+    assert main(["run", "--poly", "x^2 - x - 1", "--tol", tol, "--iters", "1"]) == 2
+    assert main(["run", "--poly", "x^2 - x - 1", "--tol", "1e-12"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "tsv"])
+def test_closed_pipe_exits_quietly(fmt):
+    # the output (megabytes) outgrows the pipe, so the child is still writing
+    # when the reader closes its end after the first line
+    argv = ["run", "--poly", "x^3 - 5x^2 + 3x + 9", "--iters", "5000", "--no-oracle"]
+    env = dict(os.environ, PYTHONPATH=str(Path(symroot.__file__).resolve().parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "symroot.cli", *argv, "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_help_exits_zero(capsys):
@@ -280,13 +320,15 @@ def test_verify_seed_changes_words_not_verdict(capsys):
 
 def test_verify_fault_injection_exits_one(capsys, monkeypatch):
     import symroot.counting as counting
-    from symroot.polynomial import IterationMatrix, MonicPolynomial
+    from symroot.polynomial import MonicPolynomial
 
-    def tampered(p):
-        # the polynomial behind the matrix with a_1 off by one
-        return IterationMatrix(MonicPolynomial((p.a[0] + 1,) + p.a[1:]))
+    step_counts = counting.step_counts
 
-    monkeypatch.setattr(counting, "iteration_matrix", tampered)
+    def tampered(p, v):
+        # the count step of p with a_1 off by one
+        return step_counts(MonicPolynomial((p.a[0] + 1,) + p.a[1:]), v)
+
+    monkeypatch.setattr(counting, "step_counts", tampered)
     code, out, _ = run_cli(capsys, "verify", "--poly", "x^2 - x - 1", "--samples", "100", "--seed", "7")
     assert code == 1
     assert "FAIL" in out

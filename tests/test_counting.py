@@ -40,7 +40,7 @@ def test_count_word_basic():
 
 
 def test_count_word_rle_uses_multiplicities():
-    r = RleWord(((letter(1, MINUS), 4), (letter(2, PLUS), 7)))
+    r = RleWord.compress(Word((letter(1, MINUS),) * 4 + (letter(2, PLUS),) * 7))
     assert count_word(r, 2) == CountVector((-4, 7))
 
 
@@ -51,7 +51,7 @@ def test_count_word_index_out_of_range():
 
 def test_count_word_rejects_letters_outside_alphabet():
     # 0 is no letter: read as index abs(0) it would land in n_m
-    for word in (Word((0,)), w("1+ 3-"), RleWord(((0, 2),))):
+    for word in (Word((0,)), w("1+ 3-"), RleWord((0, 0))):
         with pytest.raises(IndexOutOfRangeError):
             count_word(word, 2)
     with pytest.raises(IndexOutOfRangeError, match=r"^letter 3- does not fit m = 2$"):
@@ -71,7 +71,7 @@ def test_step_counts_examples():
     assert step_counts(M, CountVector((1, 0))) == CountVector((2, 1))
     M2 = iteration_matrix(MonicPolynomial((3, -1)))
     assert step_counts(M2, CountVector((4, 1))) == CountVector((15, 5))
-    assert step_counts(M2, CountVector.zero(2)) == CountVector.zero(2)
+    assert step_counts(M2, CountVector((0, 0))) == CountVector((0, 0))
     # row 1 weighs n_1 once plus a_i n_i, row 2 is n_1 + n_2: 5 + 2*5 + 3*7, 5 + 7
     M3 = iteration_matrix(MonicPolynomial((2, 3)))
     assert step_counts(M3, CountVector((5, 7))) == CountVector((36, 12))
@@ -97,7 +97,7 @@ def test_iterate_counts_cubic():
 
 def test_iterate_counts_zero_is_fixed():
     M = iteration_matrix(MonicPolynomial((7, -2)))
-    vs = iterate_counts(M, CountVector.zero(2), 5)
+    vs = iterate_counts(M, CountVector((0, 0)), 5)
     assert all(v.is_zero() for v in vs)
 
 
@@ -149,7 +149,8 @@ def test_count_is_additive(rw1, rw2):
     rule, u = rw1
     _, v = rw2
     m = max(rule.m, max((abs(l) for l in v), default=1))
-    assert count_word(u + v, m) == count_word(u, m) + count_word(v, m)
+    total = zip(count_word(u, m).n, count_word(v, m).n)
+    assert count_word(Word(u.letters + v.letters), m).n == tuple(x + y for x, y in total)
 
 
 # depth 6 keeps the worst literal expansion (growth factor |a_i|+2 <= 6)
@@ -172,6 +173,6 @@ def test_negation_equivariance(p, raw, depth):
     v0 = CountVector(tuple((raw * p.degree)[: p.degree]))
     M = iteration_matrix(p)
     plus = iterate_counts(M, v0, depth)
-    minus = iterate_counts(M, -v0, depth)
+    minus = iterate_counts(M, CountVector(tuple(-x for x in v0.n)), depth)
     for a, b in zip(plus, minus):
-        assert b == -a
+        assert b.n == tuple(-x for x in a.n)

@@ -163,6 +163,7 @@ def test_degree_one_returns_root_with_note():
     assert rep.oracle_root == 2
     assert rep.oracle_agreement is True
     assert rep.history == ((),)
+    assert type(rep.history) is type(estimate_root(GOLDEN).history)
 
 
 def test_invalid_options_rejected():
@@ -253,7 +254,7 @@ def test_ratio_values_are_scale_invariant(p, raw, c, depth):
     v0 = CountVector(tuple(raw[: p.degree]))
     M = iteration_matrix(p)
     base = iterate_counts(M, v0, depth)
-    scaled = iterate_counts(M, v0.scaled(c), depth)
+    scaled = iterate_counts(M, CountVector(tuple(c * x for x in v0.n)), depth)
     for u, s in zip(base, scaled):
         if u.is_zero():
             assert s.is_zero()

@@ -13,7 +13,7 @@ from symroot.errors import (
     PolynomialSyntaxError,
     ZeroDegreeError,
 )
-from symroot.polynomial import MAX_EXPONENT, IterationMatrix, MonicPolynomial
+from symroot.polynomial import MAX_EXPONENT, MonicPolynomial
 
 
 def test_parse_golden():
@@ -108,21 +108,21 @@ def test_from_coefficients_errors():
 def test_iteration_matrix_examples():
     for a in ((1, 1), (2,), (0, 1, 1)):
         p = MonicPolynomial(a)
-        assert iteration_matrix(p) == IterationMatrix(p)
-        assert iteration_matrix(p).m == len(a)
+        # the count-step matrix is held as its polynomial
+        assert iteration_matrix(p) is p
 
 
 def test_iteration_matrix_type_checks_shape_only():
     # the matrix is its polynomial: MonicPolynomial checks the degree and
     # that every a_i is an exact integer; step_counts checks the vector's
     # length (test_step_counts_dimension_mismatch)
-    assert IterationMatrix(MonicPolynomial((5, 5))).m == 2
+    assert iteration_matrix(MonicPolynomial((5, 5))).degree == 2
     with pytest.raises(ZeroDegreeError):
-        IterationMatrix(MonicPolynomial(()))
+        iteration_matrix(MonicPolynomial(()))
     with pytest.raises(NonIntegerCoefficientError):
-        IterationMatrix(MonicPolynomial((1.5,)))
+        iteration_matrix(MonicPolynomial((1.5,)))
     with pytest.raises(NonIntegerCoefficientError):
-        IterationMatrix(MonicPolynomial((1, True)))
+        iteration_matrix(MonicPolynomial((1, True)))
 
 
 def test_eval_at():
