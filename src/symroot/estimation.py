@@ -16,12 +16,12 @@ import json
 import sys
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import truediv
-from typing import TextIO
+from operator import index, truediv
+from typing import NamedTuple, TextIO
 
 from .counting import CountVector, _step
 from .errors import DegreeTooSmallError, DimensionMismatchError
@@ -56,8 +56,7 @@ class Status(str, Enum):
     NO_REAL_LIMIT = "NoRealLimit"
 
 
-@dataclass(frozen=True)
-class RatioEstimate:
+class RatioEstimate(NamedTuple):
     """n_j / n_(j+1) at one iteration, kept unreduced; denominator never zero."""
 
     j: int
@@ -65,74 +64,51 @@ class RatioEstimate:
     denominator: int
     iteration: int
 
-    def __post_init__(self) -> None:
-        if self.denominator == 0:
-            raise ZeroDivisionError("estimates with zero denominator are never constructed")
-
     @property
     def value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
 
+@dataclass(frozen=True)
 class History(Sequence):
     """The ratio estimates of v_0 .. v_k of one run, replayed on demand.
 
     Iterating replays the count steps from v_0 and yields each entry once,
     keeping none, so a run's memory does not grow with its iterations. len()
-    and [-1] cost O(1); any other index replays up to it, which costs O(i).
-    Equal to any sequence with the same entries.
+    and [-1] cost O(1); any other int index replays up to it, which costs
+    O(i). Two histories of the same run are equal.
     """
 
-    def __init__(
-        self, p: MonicPolynomial, v0: CountVector, length: int, last: tuple[RatioEstimate, ...]
-    ):
-        self._p, self._v0, self._len, self._last = p, v0, length, last
+    p: MonicPolynomial
+    v0: CountVector
+    length: int
+    last: tuple[RatioEstimate, ...] = field(repr=False)
 
     def __len__(self) -> int:
-        return self._len
+        return self.length
 
     def __iter__(self) -> Iterator[tuple[RatioEstimate, ...]]:
-        a, n = self._p.a, self._v0.n
-        for k in range(self._len):
+        a, n = self.p.a, self.v0.n
+        for k in range(self.length):
             if k:
                 n = _step(a, n)
             yield tuple(_estimates(n, k))
 
     def __reversed__(self) -> Iterator[tuple[RatioEstimate, ...]]:
+        # one replay; the mixin's would replay up to every index in turn
         return reversed(tuple(self))
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            r = range(self._len)[i]
-            if not r:
-                return ()
-            picked = tuple(islice(self, min(r), max(r) + 1, abs(r.step)))
-            return picked if r.step > 0 else picked[::-1]
-        k = range(self._len)[i]  # IndexError past either end
-        return self._last if k == self._len - 1 else next(islice(self, k, None))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        if isinstance(other, History) and (other._p, other._v0, other._len) == (
-            self._p, self._v0, self._len
-        ):
-            return True  # the same replay
-        return len(other) == self._len and all(x == y for x, y in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"History({self._len} entries from {self._v0.n})"
+    def __getitem__(self, i: int) -> tuple[RatioEstimate, ...]:
+        k = range(self.length)[index(i)]  # IndexError past either end
+        return self.last if k == self.length - 1 else next(islice(self, k, None))
 
 
 @contextmanager
 def _any_int_digits():
-    # coefficients on input and exact counts on deep runs pass CPython's
-    # int<->str digit limit (4300 by default); lift it for one command or
-    # one JSON document and restore the caller's. Pythons without the setter
-    # (3.10.0-3.10.6) have no limit.
+    # options and coefficients on input and exact counts on deep runs pass
+    # CPython's int<->str digit limit (4300 by default); lift it for one
+    # command or one JSON document and restore the caller's. Pythons without
+    # the setter (3.10.0-3.10.6) have no limit.
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -155,7 +131,7 @@ class ConvergenceReport:
     polynomial: MonicPolynomial
     status: Status
     iterations_used: int
-    history: Sequence[tuple[RatioEstimate, ...]]
+    history: History
     final_estimate: Fraction | None
     oracle_root: Fraction | None
     oracle_agreement: bool | None
@@ -485,9 +461,8 @@ def oracle_largest_real_root(p: MonicPolynomial, precision) -> Fraction | None:
     exact: Fraction | None = None
     bracket: tuple[Fraction, Fraction] | None = None
     prev_x = Fraction(-bound)
+    # every root lies strictly inside (-B, B) (Cauchy), so p(-B) != 0
     prev_sign = _sign(p.eval_at(prev_x))
-    if prev_sign == 0:
-        exact = prev_x
     for t in range(1, _GRID_CELLS + 1):
         x = Fraction(-bound) + step * t
         s = _sign(p.eval_at(x))

@@ -230,6 +230,54 @@ def test_tol_exponent_is_bounded(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("run", "--iters", "1_0"), "--iters"),  # int() reads 10
+        (("trace", "--depth", "\u0661"), "--depth"),  # Arabic-Indic one
+        (("trace", "--word-cap", "1_000"), "--word-cap"),
+        (("verify", "--samples", "\uff15"), "--samples"),  # fullwidth five
+        (("verify", "--seed", "7_7"), "--seed"),
+        (("verify", "--depth", "2.0"), "--depth"),
+    ],
+)
+def test_int_options_read_ascii_digits_only(capsys, argv, option):
+    code, out, err = run_cli(capsys, argv[0], "--poly", "x^2 - x - 1", *argv[1:])
+    assert (code, out) == (3, "")
+    assert err.endswith(f"error: argument {option}: not an integer: {argv[-1]!r}\n")
+
+
+def test_int_options_take_a_sign_and_spaces(capsys):
+    assert main(["run", "--poly", "x^2 - x - 1", "--iters", " +8 "]) == 2
+    assert main(["verify", "--poly", "x^2 - x - 1", "--samples", "5", "--seed", "-7"]) == 0
+    capsys.readouterr()
+    for argv, message in (
+        (("run", "--iters", "-0"), "argument --iters: must be at least 1"),
+        (("trace", "--depth", " -1"), "argument --depth: must be at least 0"),
+    ):
+        code, _, err = run_cli(capsys, argv[0], "--poly", "x^2 - x - 1", *argv[1:])
+        assert code == 3
+        assert err.endswith(f"error: {message}\n")
+
+
+def test_tol_reads_ascii_only(capsys):
+    # Fraction() would read each of these as a number
+    for tol in ("\u0661e-5", "1_0e-5", "0.00_1", "1/1_000", "\u20021e-5"):
+        code, _, err = run_cli(capsys, "run", "--poly", "x^2 - x - 1", "--tol", tol)
+        assert code == 3, tol
+        assert err.endswith(f"error: argument --tol: not a number: {tol!r}\n")
+
+
+def test_tol_passes_the_int_digit_limit(capsys):
+    # written-out digits past CPython's 4300-digit int<->str limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    tol = "0." + "0" * 5000 + "1"
+    code, out, err = run_cli(capsys, "run", "--poly", "x^2 - x - 1", "--tol", tol, "--iters", "1")
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-2:] == ["status: MaxIterationsReached", "iterations: 1"]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "tsv"])
 def test_closed_pipe_exits_quietly(fmt):
     # the output (megabytes) outgrows the pipe, so the child is still writing
@@ -421,3 +469,39 @@ def test_run_always_ends_in_a_documented_exit_code(source):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["run", *source, "--iters", "8"])
     assert code in (0, 2, 3, 4)
+
+
+def _poly_text(coeffs: list[int]) -> str:
+    # x^m followed by the nonzero lower terms, e.g. [3, -1, 0, 1] -> "x^3 - x + 3"
+    m = len(coeffs)
+    text = f"x^{m}"
+    for k in range(m - 1, -1, -1):
+        c = coeffs[k]
+        if c:
+            power = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+            size = "" if abs(c) == 1 and k else str(abs(c))
+            text += f" {'-' if c < 0 else '+'} {size}{power}"
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=4), st.integers(1, 40))
+def test_run_tsv_matches_the_count_reference(coeffs, iters):
+    # parse -> run -> render against the rows built from iterate_counts and
+    # ratio_estimates to the iteration where the run stopped
+    p = symroot.from_coefficients(coeffs + [1])
+    used = symroot.estimate_root(p, max_iters=iters, compare_oracle=False).iterations_used
+    rows = []
+    if p.degree >= 2:
+        unit = symroot.CountVector.unit(p.degree)
+        for k, v in enumerate(symroot.iterate_counts(p, unit, used)):
+            for r in symroot.ratio_estimates(v, iteration=k):
+                x = float(Fraction(r.numerator, r.denominator))  # 0/-1 prints 0
+                rows.append(f"{k}\t{r.j}\t{r.numerator}\t{r.denominator}\t{x:.17g}")
+    argv = ["run", "--poly", _poly_text(coeffs), "--iters", str(iters), "--no-oracle"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", "tsv"])
+    assert (out.getvalue().splitlines(), err.getvalue()) == (rows, "")
+    assert code in (0, 2)
+    assert used <= iters
