@@ -3,8 +3,9 @@
 Exit codes: 0 converged (and the oracle, when consulted, agrees), 1 a verify
 check found a counterexample, 2 the ratios did not settle (NoRealLimit,
 MaxIterationsReached, DegenerateStart), 3 bad input or options, 4 converged
-but on a root other than the oracle's largest real root, 5 trace/verify hit
-the word-length cap, 141 the reader of stdout closed it early (128 + SIGPIPE).
+but the oracle's largest real root is not the real root nearest the estimate,
+5 trace/verify hit the word-length cap, 141 the reader of stdout closed it
+early (128 + SIGPIPE).
 """
 
 from __future__ import annotations

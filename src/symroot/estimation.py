@@ -4,10 +4,11 @@ When the count-vector direction settles, it settles onto a geometric profile
 (r^(m-1), ..., r, 1), so every consecutive-entry ratio estimates the same
 number r, a root of the polynomial. Every decision here is exact on integers
 and rationals; floats only rule out comparisons that are certainly false,
-and appear otherwise only in rendered output. An independent sign-scan plus
-bisection oracle cross-checks which real root, if any, the ratios landed on,
-because the dominant direction can belong to a root other than the largest
-real one.
+and appear otherwise only in rendered output. An independent oracle, a grid
+scan certified by a Sturm sequence and then bisection, finds the largest real
+root, repeated and close roots included, and cross-checks that the ratios
+landed on it, because the dominant direction can belong to a root other than
+the largest real one.
 """
 
 from __future__ import annotations
@@ -125,7 +126,11 @@ class ConvergenceReport:
     """Everything one estimate_root run decided and saw along the way.
 
     history holds the ratio estimates of every iterate v_0 .. v_k: a History
-    that replays them from v_0 when read.
+    that replays them from v_0 when read. After a consulted oracle, the
+    agreement is exact: the largest real root is the real root nearest
+    final_estimate, decided by a Sturm count; a discrepancy above tol alone
+    is no disagreement, since the settle rule bounds the last step, not the
+    distance to the root. The CLI exits 4 when it is False.
     """
 
     polynomial: MonicPolynomial
@@ -221,15 +226,25 @@ def _within(a: int, b: int, c: int, d: int, tol: Fraction) -> bool:
     return abs(a * d - c * b) * tol.denominator <= tol.numerator * abs(b * d)
 
 
+def _below(a: int, b: int, c: int, d: int) -> bool:
+    # a/b < c/d as one integer comparison, with no gcd; b, d nonzero. Both
+    # sides times b d, whose sign decides the direction
+    return a * d < c * b if (b > 0) == (d > 0) else a * d > c * b
+
+
 def _profile_agrees(d: tuple[int, ...], tol: Fraction) -> bool:
-    # all m-1 ratios d[j-1]/d[j] are defined and agree pairwise within tol
+    # all m-1 ratios d[j-1]/d[j] are defined and agree pairwise within tol,
+    # which is to say their largest and smallest do: found exactly in m-2
+    # steps, then one _within
     if 0 in d[1:]:
         return False
-    return all(
-        _within(d[i - 1], d[i], d[j - 1], d[j], tol)
-        for i in range(1, len(d))
-        for j in range(i + 1, len(d))
-    )
+    lo = hi = 1
+    for j in range(2, len(d)):
+        if _below(d[j - 1], d[j], d[lo - 1], d[lo]):
+            lo = j
+        elif _below(d[hi - 1], d[hi], d[j - 1], d[j]):
+            hi = j
+    return _within(d[hi - 1], d[hi], d[lo - 1], d[lo], tol)
 
 
 def _settled(prev: tuple[int, ...] | None, cur: tuple[int, ...], tol: Fraction) -> bool:
@@ -414,12 +429,15 @@ def estimate_root(
 
     oracle_root = agreement = discrepancy = None
     if status is Status.CONVERGED and compare_oracle:
-        # slack of 2 tol for the settled ratios and 2 tol for the oracle,
-        # which bisects to a half-width of tol
-        oracle_root = oracle_largest_real_root(p, tol)
+        sturm = _sturm_sequence(p)
+        oracle_root = _largest_real_root(p, tol, sturm)
         if oracle_root is not None:
+            # the oracle is within tol of the largest real root r, so r lies
+            # in [final - w, final + w] for w = discrepancy + tol; r is the
+            # real root nearest final iff no other root lies there too
             discrepancy = abs(final - oracle_root)
-            agreement = discrepancy <= 4 * tol
+            w = discrepancy + tol
+            agreement = _roots_in(sturm, final - w, final + w) == 1
     return ConvergenceReport(
         polynomial=p,
         status=status,
@@ -440,51 +458,119 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def oracle_largest_real_root(p: MonicPolynomial, precision) -> Fraction | None:
-    """Largest real root by exact-rational sign scan plus bisection, or None.
+def _horner(q: list[Fraction], x: Fraction) -> Fraction:
+    # q holds descending coefficients
+    value = Fraction(0)
+    for c in q:
+        value = value * x + c
+    return value
 
-    Scans [-B, B] for the coefficient bound B = 1 + max |c_k| (every root
-    lies strictly inside), takes the rightmost sign change on the grid, and
-    bisects it down to a half-width of `precision`. Roots of even
-    multiplicity to the right of the last sign change do not flip the sign
-    and are missed; that limitation is documented and accepted.
+
+def _sturm_sequence(p: MonicPolynomial) -> list[list[Fraction]]:
+    # p, p', then each member is minus the remainder of the two before it,
+    # down to g, the last nonzero one, a gcd of p and p'; all of them divided
+    # by g. Sign variations along it then count the distinct real roots of p
+    # (Sturm 1829), and the count stays exact at a repeated root, where the
+    # undivided members all vanish
+    f = [Fraction(1), *(Fraction(-a) for a in p.a)]
+    seq = [f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]]
+    while True:
+        r = _divmod(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        seq.append([-c for c in r])
+    g = seq[-1]
+    return [_divmod(q, g)[0] for q in seq]
+
+
+def _divmod(u: list[Fraction], v: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    # quotient and remainder of descending coefficient lists; v[0] nonzero,
+    # and the remainder has no leading zeros
+    u, q = list(u), []
+    while len(u) >= len(v):
+        c = u[0] / v[0]
+        q.append(c)
+        for i in range(1, len(v)):
+            u[i] -= c * v[i]
+        del u[0]
+    while u and u[0] == 0:
+        del u[0]
+    return q, u
+
+
+def _variations(sturm: list[list[Fraction]], x: Fraction) -> int:
+    # sign changes along the sequence at x, zeros skipped; from a to b > a it
+    # drops by the number of distinct roots of p in (a, b]
+    signs = [s for s in (_sign(_horner(q, x)) for q in sturm) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _roots_in(sturm: list[list[Fraction]], a: Fraction, b: Fraction) -> int:
+    # distinct roots of p in [a, b]
+    return _variations(sturm, a) - _variations(sturm, b) + (_horner(sturm[0], a) == 0)
+
+
+def oracle_largest_real_root(p: MonicPolynomial, precision) -> Fraction | None:
+    """Largest real root to within `precision`, or None if p has none.
+
+    Every root lies strictly inside (-B, B) for the coefficient bound
+    B = 1 + max |c_k| (Cauchy). The scan walks the grid of 8192 cells over
+    [-B, B] from the right and stops at the first grid zero or sign change.
+    A Sturm sequence of p then counts the distinct roots to the right of
+    that point, repeated roots included. A grid zero with none to its right
+    is returned exactly, and a cell whose sign change holds the only one is
+    bisected by sign to a half-width of `precision`. Otherwise (a root of
+    even multiplicity, or several roots in one cell) the largest root is
+    bisected on the Sturm count, from B down, to the same half-width.
     """
     precision = Fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
+    return _largest_real_root(p, precision, _sturm_sequence(p))
+
+
+def _largest_real_root(
+    p: MonicPolynomial, precision: Fraction, sturm: list[list[Fraction]]
+) -> Fraction | None:
     if p.degree == 1:
         return Fraction(p.a[0])
-    coeffs = p.coefficients()
-    bound = 1 + max(abs(c) for c in coeffs[:-1])
+    bound = 1 + max(map(abs, p.a))
     step = Fraction(2 * bound, _GRID_CELLS)
-
-    exact: Fraction | None = None
-    bracket: tuple[Fraction, Fraction] | None = None
-    prev_x = Fraction(-bound)
-    # every root lies strictly inside (-B, B) (Cauchy), so p(-B) != 0
-    prev_sign = _sign(p.eval_at(prev_x))
-    for t in range(1, _GRID_CELLS + 1):
-        x = Fraction(-bound) + step * t
-        s = _sign(p.eval_at(x))
-        if s == 0:
-            exact = x
-        elif prev_sign != 0 and s != prev_sign:
-            bracket = (prev_x, x)
-        prev_x, prev_sign = x, s
-
-    if bracket is None:
-        return exact
-    if exact is not None and exact > bracket[1]:
-        return exact
-    lo, hi = bracket
-    flo = p.eval_at(lo)
+    # p is monic and every root lies below B, so p(B) > 0: the first grid
+    # point with p <= 0 from the right is the rightmost grid zero or the left
+    # end of the rightmost sign change, the point a full scan from -B would
+    # settle on. Failing both, lo ends at -B with p(-B) > 0
+    hi = top = Fraction(bound)
+    for t in range(_GRID_CELLS - 1, -1, -1):
+        lo = Fraction(-bound) + step * t
+        flo = p.eval_at(lo)
+        if flo <= 0:
+            break
+        hi = lo
+    v_top = _variations(sturm, top)
+    right = _variations(sturm, lo) - v_top  # distinct roots in (lo, B]
+    if right == 0:
+        return lo if flo == 0 else None
+    if flo < 0 and right == 1:
+        # the one root is the cell's sign change, from p(lo) < 0 to p(hi) > 0:
+        # bisect by sign
+        while hi - lo > 2 * precision:
+            mid = (lo + hi) / 2
+            fm = p.eval_at(mid)
+            if fm == 0:
+                return mid
+            if fm < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+    # several roots right of lo, or an even multiplicity: bisect on the
+    # count, keeping the largest root in (lo, hi]
+    hi = top
     while hi - lo > 2 * precision:
         mid = (lo + hi) / 2
-        fm = p.eval_at(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        if _variations(sturm, mid) > v_top:
+            lo = mid
         else:
             hi = mid
     return (lo + hi) / 2

@@ -179,6 +179,16 @@ def test_run_exit_codes():
     assert main(["run", "--poly", "x^2 - x - 1", "--iters", "8"]) == 2  # budget too small
 
 
+def test_run_close_pair_agrees_at_a_deep_budget(capsys):
+    # (x-100)(x-101)(x+1) settles about 1e-10 below 101: 101 is the nearest
+    # real root, so no false alarm
+    argv = ("run", "--poly", "x^3 - 200x^2 + 9899x + 10100", "--iters", "20000")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "oracle agreement: yes" in out
+    assert main(["run", "--poly", "x^2 + 3x + 1"]) == 4
+
+
 def test_run_dominance_failure_message(capsys):
     code, out, _ = run_cli(capsys, "run", "--poly", "x^2 + 3x + 1")
     assert code == 4

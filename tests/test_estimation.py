@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -26,7 +27,10 @@ from symroot.estimation import (
     _certainly_unsettled,
     _float_ratios,
     _float_tol,
+    _profile_agrees,
+    _roots_in,
     _settled,
+    _sturm_sequence,
 )
 from symroot.polynomial import MonicPolynomial
 
@@ -214,9 +218,93 @@ def test_oracle_examples():
     assert oracle_largest_real_root(parse_polynomial("x^2 + 2x + 2"), TOL) is None
 
 
-def test_oracle_misses_even_multiplicity_roots():
-    # documented limitation: (x-1)^2 never changes sign
-    assert oracle_largest_real_root(parse_polynomial("x^2 - 2x + 1"), TOL) is None
+def test_oracle_finds_repeated_roots():
+    # (x-1)^2 never changes sign, and (x-3)^2 (x+1) changes sign only at -1;
+    # the Sturm count sees both double roots
+    assert abs(oracle_largest_real_root(parse_polynomial("x^2 - 2x + 1"), TOL) - 1) <= TOL
+    assert abs(oracle_largest_real_root(parse_polynomial("x^3 - 5x^2 + 3x + 9"), TOL) - 3) <= TOL
+
+
+@pytest.mark.parametrize(
+    "text, root",
+    [
+        ("x^3 - x - 1", Fraction(1456542797515, 1099511627776)),
+        ("x^3 - 2", Fraction(5541191377755, 4398046511104)),
+        ("x^12 - x - 1", Fraction(1167867350731, 1099511627776)),
+        ("x^24 - 3x^23 + x^5 - 7", Fraction(3298534880571, 1099511627776)),
+    ],
+)
+def test_oracle_fractions_pinned(text, root):
+    # the rightmost sign change holds the only root right of its cell, so it
+    # is bisected by sign; these are the Fractions of that bisection
+    assert oracle_largest_real_root(parse_polynomial(text), TOL) == root
+
+
+def _sympy_largest_real_root(sympy, coeffs):
+    roots = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x")).real_roots()
+    return Fraction(str(sympy.N(max(roots), 40))) if roots else None
+
+
+def _from_roots(roots):
+    c = [1]  # ascending coefficients of the product of the (x - r)
+    for r in roots:
+        c = [-r * a + b for a, b in zip(c + [0], [0] + c)]
+    return tuple(c)
+
+
+def _oracle_sample():
+    rng = random.Random(1829)
+    polys = [
+        _from_roots((100, 101)),
+        _from_roots((100, 101, -1)),
+        _from_roots((3, 3, -1)),
+        _from_roots((100, 101, 102)),
+        (2, 2, 1),  # x^2 + 2x + 2, no real root
+    ]
+    for _ in range(20):  # repeated and clustered integer roots
+        polys.append(_from_roots([rng.randint(-3, 3) for _ in range(rng.randint(2, 4))]))
+    for _ in range(30):
+        m = rng.randint(2, 4)
+        polys.append((rng.choice((-1, 1)) * rng.randint(1, 9),)
+                     + tuple(rng.randint(-9, 9) for _ in range(m - 1)) + (1,))
+    return polys
+
+
+@pytest.mark.parametrize("coeffs", _oracle_sample(), ids=str)
+def test_oracle_matches_sympy_real_roots(coeffs):
+    sympy = pytest.importorskip("sympy")
+    want = _sympy_largest_real_root(sympy, coeffs)
+    got = oracle_largest_real_root(from_coefficients(coeffs), TOL)
+    if want is None:
+        assert got is None
+    else:
+        assert abs(got - want) <= 2 * TOL
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=5),
+    st.fractions(-5, 5, max_denominator=4),
+    st.fractions(0, 6, max_denominator=4),
+)
+def test_sturm_count_is_exact_at_repeated_roots_and_endpoints(roots, a, width):
+    # endpoints often land on a root, repeated or not
+    sturm = _sturm_sequence(from_coefficients(_from_roots(roots)))
+    assert _roots_in(sturm, a, a + width) == len({r for r in roots if a <= r <= a + width})
+
+
+@pytest.mark.parametrize(
+    "text", ["x^2 - 201x + 10100", "x^3 - 200x^2 + 9899x + 10100"]  # (x-100)(x-101)(x+1)
+)
+def test_close_pairs_agree_by_the_nearest_root_rule(text):
+    # the ratios contract by 100/101 per step, so the settled estimate sits
+    # about 1e-10 below 101 at tol 1e-12: past 4 tol, but 101 is still the
+    # real root nearest it
+    rep = estimate_root(parse_polynomial(text), max_iters=20000)
+    assert rep.status is Status.CONVERGED
+    assert abs(rep.oracle_root - 101) <= TOL
+    assert rep.oracle_discrepancy > 4 * TOL
+    assert rep.oracle_agreement is True
 
 
 def test_oracle_picks_rightmost_root():
@@ -476,6 +564,24 @@ def test_profile_check_matches_fraction_rule(v):
             abs(x.value - y.value) <= tol for x in ests for y in ests
         )
         assert eigenvector_profile_check(p, v, tol) == want
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(-30, 30), min_size=2, max_size=7),
+    st.sampled_from([-1, 0, 1]),
+)
+def test_profile_agrees_matches_the_pairwise_rule(d, nudge):
+    # tol at, just below and just above the exact spread of the ratios, so
+    # the max and min must be found exactly, whatever the signs
+    d = tuple(d)
+    if 0 in d[1:]:
+        assert not _profile_agrees(d, Fraction(10**6))
+        return
+    ratios = [Fraction(d[j - 1], d[j]) for j in range(1, len(d))]
+    tol = max(Fraction(0), max(ratios) - min(ratios) + Fraction(nudge, 10**6))
+    want = all(abs(x - y) <= tol for x in ratios for y in ratios)
+    assert _profile_agrees(d, tol) is want
 
 
 def _unbounded_cycle_rule(p, v, max_iters, tol):
