@@ -12,7 +12,6 @@ from .errors import EngineOverflowError, SymrootError
 from .estimation import (
     DEFAULT_TOL,
     Status,
-    eigenvector_profile_check,
     estimate_root,
     oracle_largest_real_root,
     ratio_estimates,
@@ -55,6 +54,5 @@ __all__ = [
     "ratio_estimates",
     "estimate_root",
     "oracle_largest_real_root",
-    "eigenvector_profile_check",
     "DEFAULT_TOL",
 ]

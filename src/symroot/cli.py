@@ -3,9 +3,9 @@
 Exit codes: 0 converged (and the oracle, when consulted, agrees), 1 a verify
 check found a counterexample, 2 the ratios did not settle (NoRealLimit,
 MaxIterationsReached, DegenerateStart), 3 bad input or options, 4 converged
-but the oracle's largest real root is not the real root nearest the estimate,
-5 trace/verify hit the word-length cap, 141 the reader of stdout closed it
-early (128 + SIGPIPE).
+but the Sturm counts could not show that the oracle's largest real root is
+the real root nearest the estimate, 5 trace/verify hit the word-length cap,
+141 the reader of stdout closed it early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -172,12 +172,8 @@ def _print_table(report: ConvergenceReport) -> None:
         print(f"final: {_float_text(f)} = {f.numerator}/{f.denominator}")
     if report.oracle_root is not None:
         print(f"oracle largest real root: {_float_text(report.oracle_root)}")
-        if report.oracle_agreement is not None:
-            answer = "yes" if report.oracle_agreement else "NO"
-            print(
-                f"oracle agreement: {answer} "
-                f"(discrepancy {_float_text(report.oracle_discrepancy)})"
-            )
+        answer = "yes" if report.oracle_agreement else "NO"
+        print(f"oracle agreement: {answer} (discrepancy {_float_text(report.oracle_discrepancy)})")
 
 
 def _print_tsv(report: ConvergenceReport) -> None:

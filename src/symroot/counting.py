@@ -41,14 +41,9 @@ class CountVector:
         return len(self.n)
 
     @classmethod
-    def unit(cls, m: int, j: int = 1) -> "CountVector":
-        """e_j, 1-based; the default e_1 is the count of the word "1+"."""
-        if not 1 <= j <= m:
-            raise DimensionMismatchError(f"unit index {j} outside 1..{m}")
-        return cls(tuple(1 if k == j - 1 else 0 for k in range(m)))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.n)
+    def unit(cls, m: int) -> "CountVector":
+        """e_1, the count of the word "1+"."""
+        return cls(tuple(1 if k == 0 else 0 for k in range(m)))
 
 
 def count_word(w: Word, m: int) -> CountVector:

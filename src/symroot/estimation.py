@@ -34,7 +34,6 @@ __all__ = [
     "ratio_estimates",
     "estimate_root",
     "oracle_largest_real_root",
-    "eigenvector_profile_check",
 ]
 
 DEFAULT_TOL = Fraction(1, 10**12)
@@ -127,10 +126,13 @@ class ConvergenceReport:
 
     history holds the ratio estimates of every iterate v_0 .. v_k: a History
     that replays them from v_0 when read. After a consulted oracle, the
-    agreement is exact: the largest real root is the real root nearest
-    final_estimate, decided by a Sturm count; a discrepancy above tol alone
-    is no disagreement, since the settle rule bounds the last step, not the
-    distance to the root. The CLI exits 4 when it is False.
+    agreement is decided by exact Sturm counts. True proves the largest real
+    root is the real root nearest final_estimate: no root lies above it, or
+    the largest is the only one within discrepancy + tol of it. False means
+    another real root lies within that distance too, nearer or not. A
+    discrepancy above tol alone is no disagreement, since the settle rule
+    bounds the last step, not the distance to the root. The CLI exits 4 when
+    the agreement is False.
     """
 
     polynomial: MonicPolynomial
@@ -161,7 +163,7 @@ class ConvergenceReport:
             entry = json.dumps(_json_entry(i, ests), indent=2)
             out.write(sep + "    " + entry.replace("\n", "\n    "))
             sep = ",\n"
-        out.write("[]\n}" if sep == "[\n" else "\n  ]\n}")
+        out.write("\n  ]\n}")
 
     def _json_head(self) -> dict:
         final = None
@@ -172,7 +174,7 @@ class ConvergenceReport:
                 "float": _json_float(self.final_estimate),
             }
         oracle = None
-        if self.oracle_root is not None and self.oracle_agreement is not None:
+        if self.oracle_root is not None:
             oracle = {"float": _json_float(self.oracle_root), "agrees": self.oracle_agreement}
         return {
             "polynomial": {
@@ -433,11 +435,17 @@ def estimate_root(
         oracle_root = _largest_real_root(p, tol, sturm)
         if oracle_root is not None:
             # the oracle is within tol of the largest real root r, so r lies
-            # in [final - w, final + w] for w = discrepancy + tol; r is the
-            # real root nearest final iff no other root lies there too
+            # in [final - w, final + w] for w = discrepancy + tol. r is the
+            # real root nearest final if no other root lies there, or if no
+            # root lies above final, since every other root lies below r: the
+            # Sturm count at final is then the count at 1 + max |a_i|, which
+            # lies above every root
             discrepancy = abs(final - oracle_root)
             w = discrepancy + tol
-            agreement = _roots_in(sturm, final - w, final + w) == 1
+            agreement = (
+                _roots_in(sturm, final - w, final + w) == 1
+                or _variations(sturm, final) == _variations(sturm, 1 + max(map(abs, p.a)))
+            )
     return ConvergenceReport(
         polynomial=p,
         status=status,
@@ -574,24 +582,3 @@ def _largest_real_root(
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-def eigenvector_profile_check(p: MonicPolynomial, v: CountVector, tol) -> bool:
-    """True iff v looks geometric: all consecutive ratios pairwise within tol.
-
-    A vector proportional to (r^(m-1), ..., r, 1) passes with tol 0; a
-    vector with any zero among entries 2..m cannot be of that shape and
-    fails outright. A negative tol is a ValueError.
-    """
-    if p.degree < 2:
-        raise DegreeTooSmallError("profile check needs degree >= 2")
-    if v.m != p.degree:
-        raise DimensionMismatchError(
-            f"vector has {v.m} entries, polynomial degree is {p.degree}"
-        )
-    if v.is_zero():
-        raise ValueError("profile check needs a nonzero vector")
-    tol = Fraction(tol)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return _profile_agrees(v.n, tol)

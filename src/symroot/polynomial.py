@@ -60,11 +60,6 @@ class MonicPolynomial:
     def degree(self) -> int:
         return len(self.a)
 
-    def coefficients(self) -> tuple[int, ...]:
-        """Ascending standard coefficients (c_0, ..., c_m) with c_m = 1."""
-        m = self.degree
-        return tuple(-self.a[m - 1 - k] for k in range(m)) + (1,)
-
     def eval_at(self, x):
         """Evaluate p at x exactly by Horner; int or Fraction in, same out."""
         value = 1

@@ -189,6 +189,15 @@ def test_run_close_pair_agrees_at_a_deep_budget(capsys):
     assert main(["run", "--poly", "x^2 + 3x + 1"]) == 4
 
 
+def test_run_coarse_tol_above_the_largest_root_exits_0(capsys):
+    # x^2 - 4 at tol 100 settles at 5/2; -2 lies within discrepancy + tol of
+    # it too, but no root lies above it, so 2 is the nearest
+    code, out, _ = run_cli(capsys, "run", "--poly", "x^2 - 4", "--tol", "100")
+    assert code == 0
+    assert "final: 2.5 = 5/2" in out
+    assert "oracle agreement: yes" in out
+
+
 def test_run_dominance_failure_message(capsys):
     code, out, _ = run_cli(capsys, "run", "--poly", "x^2 + 3x + 1")
     assert code == 4

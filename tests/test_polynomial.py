@@ -146,7 +146,8 @@ coeff_lists = st.lists(st.integers(min_value=-10, max_value=10), min_size=1, max
 @given(coeff_lists)
 def test_round_trip_through_coefficients(a):
     p = MonicPolynomial(tuple(a))
-    assert from_coefficients(p.coefficients()) == p
+    # ascending standard coefficients c_k = -a_(m-k), then the leading 1
+    assert from_coefficients([-x for x in reversed(a)] + [1]) == p
 
 
 @given(coeff_lists)
