@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from symroot import (
     CountVector,
@@ -334,6 +334,15 @@ def test_oracle_picks_rightmost_root():
     assert abs(root - 2) <= TOL
 
 
+def test_eigenvector_profile_check():
+    # geometric profiles pass at tol 0; a spread of 2 fails at 1/1000; a zero
+    # among entries 2..m fails at every tol
+    assert _profile_agrees((4, 2, 1), Fraction(0))
+    assert _profile_agrees((13, 8), Fraction(0))
+    assert not _profile_agrees((3, 1, 1), Fraction(1, 1000))
+    assert not _profile_agrees((1, 0, 1), Fraction(1))
+
+
 small_polys = st.lists(st.integers(-3, 3), min_size=2, max_size=4).map(
     lambda a: MonicPolynomial(tuple(a))
 )
@@ -564,12 +573,6 @@ def test_deep_runs_pinned(text, status, iterations):
 
 @settings(max_examples=300)
 @given(st.integers(2, 5).flatmap(count_vectors))
-# geometric profiles, which pass at tol 0; a spread of 2, which fails at
-# 1/1000; a zero among entries 2..m, which fails at every tol
-@example(CountVector((4, 2, 1)))
-@example(CountVector((13, 8)))
-@example(CountVector((3, 1, 1)))
-@example(CountVector((1, 0, 1)))
 def test_profile_check_matches_fraction_rule(v):
     ests = ratio_estimates(v)
     for tol in TOLS:
