@@ -20,8 +20,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, repeat
-from operator import index, truediv
+from operator import index, or_, truediv
 from typing import NamedTuple, TextIO
 
 from .counting import CountVector, _step
@@ -38,6 +39,10 @@ __all__ = [
 
 DEFAULT_TOL = Fraction(1, 10**12)
 DEFAULT_MAX_ITERS = 256
+# strip the counts' common power of two every so many steps: a shift of a
+# negative big int costs several adds, so stripping every step costs more
+# than the bits it saves
+_STRIP_EVERY = 32
 
 
 class Status(str, Enum):
@@ -127,12 +132,13 @@ class ConvergenceReport:
     history holds the ratio estimates of every iterate v_0 .. v_k: a History
     that replays them from v_0 when read. After a consulted oracle, the
     agreement is decided by exact Sturm counts. True proves the largest real
-    root is the real root nearest final_estimate: no root lies above it, or
-    the largest is the only one within discrepancy + tol of it. False means
-    another real root lies within that distance too, nearer or not. A
-    discrepancy above tol alone is no disagreement, since the settle rule
-    bounds the last step, not the distance to the root. The CLI exits 4 when
-    the agreement is False.
+    root is the real root nearest final_estimate: no root lies above it, the
+    largest is the only one within discrepancy + tol of it, or bisecting that
+    window shows every lower root farther. False means another real root is
+    at least as near, or 64 halvings of that window could not show that none
+    is. A discrepancy above tol alone is no disagreement, since the settle
+    rule bounds the last step, not the distance to the root. The CLI exits 4
+    when the agreement is False.
     """
 
     polynomial: MonicPolynomial
@@ -271,7 +277,9 @@ def _float_ratios(n: tuple[int, ...]) -> list[float] | None:
     # and (1 + e)/(1 + f) with |e|, |f| < 2^-63 is within 2^-62 (1 + 2^-62)
     # of 1. So each float is within 2^-53 relative, or 2^-1075 absolute if
     # subnormal, of a quotient within 2^-61 relative of the exact ratio;
-    # _certainly_apart's margin covers both. Only the filters read these.
+    # _certainly_apart's margin covers both. Shorter counts, the common case
+    # once _iterate strips powers of two, are divided exactly, each float the
+    # correctly rounded ratio. Only the filters read these.
     # A list: tuple() of an iterator resizes its result, and one such tuple
     # per step fills a CPython tuple free list, memory kept for good
     s = min(map(int.bit_length, n)) - 64
@@ -341,8 +349,17 @@ def _iterate(
     # the count iteration of a degree >= 2 polynomial from the counts n,
     # until one stop rule fires; returns (status, iterations_used, last
     # counts) and keeps no history, which History replays from v_0 on demand.
-    # Every rule decides exactly on the raw counts; the float ratios only skip
-    # exact tests whose answer they already know
+    # Every rule decides exactly on the counts; the float ratios only skip
+    # exact tests whose answer they already know. The loop carries
+    # v_k / 2^shift, v_k over the common power of two of its counts, and
+    # hands back the raw v_k once, on return. No decision changes: the step
+    # is linear; _profile_agrees, _settled and _proportional compare ratios or
+    # cross-multiply within one vector, so each is blind to its scale; and the
+    # float filters' proof in _float_ratios holds for any integer vector (the
+    # floats of v and v / 2^s are even equal). When R = I + C(p) is nilpotent
+    # mod 2, as when p = (x+1)^m mod 2, the counts gain a factor 2 at least
+    # every m steps: (x-3)^2 (x+1) gains 2 bits a step, and by step 20000
+    # 39996 of its 40014 bits are the common power of two
     a, m = p.a, p.degree
     tol_f = _float_tol(tol)
     # first visits of v_0 .. v_m only, as (counts, float ratios, k), one per
@@ -357,14 +374,22 @@ def _iterate(
     visits: dict[bytes, list[tuple[tuple[int, ...], list[float] | None, int]]] = {}
     prev: tuple[int, ...] | None = None
     prev_f: list[float] | None = None
-    k = 0
+    k = shift = 0
     while True:
         if not any(n):
-            return Status.DEGENERATE_START, k, n
+            status = Status.DEGENERATE_START
+            break
+        if k % _STRIP_EVERY == 0:
+            z = reduce(or_, n)
+            s = (z & -z).bit_length() - 1
+            if s:
+                n = tuple(x >> s for x in n)
+                shift += s
         cur_f = _float_ratios(n)
         filtered = prev_f and cur_f and _certainly_unsettled(prev_f, cur_f, tol_f)
         if not filtered and _settled(prev, n, tol):
-            return Status.CONVERGED, k, n
+            status = Status.CONVERGED
+            break
         nonzero = bytes(map(bool, n))
         first_seen = next(
             (
@@ -380,12 +405,15 @@ def _iterate(
         elif k - first_seen >= 2:
             # the direction sequence is exactly periodic, so the ratios can
             # never settle; calling it now saves waiting out max_iters
-            return Status.NO_REAL_LIMIT, k, n
+            status = Status.NO_REAL_LIMIT
+            break
         if k == max_iters:
-            return Status.MAX_ITERATIONS_REACHED, k, n
+            status = Status.MAX_ITERATIONS_REACHED
+            break
         prev, prev_f = n, cur_f
         k += 1
         n = _step(a, n)
+    return status, k, tuple(x << shift for x in n)
 
 
 def estimate_root(
@@ -435,16 +463,13 @@ def estimate_root(
         oracle_root = _largest_real_root(p, tol, sturm)
         if oracle_root is not None:
             # the oracle is within tol of the largest real root r, so r lies
-            # in [final - w, final + w] for w = discrepancy + tol. r is the
-            # real root nearest final if no other root lies there, or if no
-            # root lies above final, since every other root lies below r: the
-            # Sturm count at final is then the count at 1 + max |a_i|, which
-            # lies above every root
+            # in [final - w, final + w] for w = discrepancy + tol; r is the
+            # real root nearest final if no other root lies there, or failing
+            # that, if _nearest_is_largest shows it
             discrepancy = abs(final - oracle_root)
             w = discrepancy + tol
-            agreement = (
-                _roots_in(sturm, final - w, final + w) == 1
-                or _variations(sturm, final) == _variations(sturm, 1 + max(map(abs, p.a)))
+            agreement = _roots_in(sturm, final - w, final + w) == 1 or _nearest_is_largest(
+                sturm, final, final + w, 1 + max(map(abs, p.a))
             )
     return ConvergenceReport(
         polynomial=p,
@@ -460,6 +485,9 @@ def estimate_root(
 
 
 _GRID_CELLS = 8192
+# halvings of the window before the nearest-root test gives up; each costs a
+# few Sturm counts, and only runs that no cheaper test decides reach it
+_NEAREST_HALVINGS = 64
 
 
 def _sign(x) -> int:
@@ -516,6 +544,36 @@ def _variations(sturm: list[list[Fraction]], x: Fraction) -> int:
 def _roots_in(sturm: list[list[Fraction]], a: Fraction, b: Fraction) -> int:
     # distinct roots of p in [a, b]
     return _variations(sturm, a) - _variations(sturm, b) + (_horner(sturm[0], a) == 0)
+
+
+def _nearest_is_largest(
+    sturm: list[list[Fraction]], final: Fraction, hi: Fraction, top: Fraction
+) -> bool:
+    # True if the largest real root, r, is the real root nearest final, given
+    # r <= hi and top above every root. With no root above final, every other
+    # root lies below r <= final. Otherwise r lies in (final, hi], and a lower
+    # root is at least as near exactly when it lies at or above 2 final - r:
+    # bisect (lo, hi] on the count, keeping r in it; once r is the only root
+    # there, one in [2 final - lo, lo] is nearer and none in
+    # [2 final - hi, lo] proves none is. False if _NEAREST_HALVINGS halvings
+    # show neither, as they never do when two roots are equally near
+    v_top = _variations(sturm, top)
+    lo, v_lo = final, _variations(sturm, final)
+    if v_lo == v_top:
+        return True
+    for _ in range(_NEAREST_HALVINGS):
+        if v_lo - v_top == 1:
+            if _roots_in(sturm, 2 * final - lo, lo):
+                return False
+            if not _roots_in(sturm, 2 * final - hi, lo):
+                return True
+        mid = (lo + hi) / 2
+        v_mid = _variations(sturm, mid)
+        if v_mid > v_top:
+            lo, v_lo = mid, v_mid
+        else:
+            hi = mid
+    return False
 
 
 def oracle_largest_real_root(p: MonicPolynomial, precision) -> Fraction | None:

@@ -198,6 +198,16 @@ def test_run_coarse_tol_above_the_largest_root_exits_0(capsys):
     assert "oracle agreement: yes" in out
 
 
+def test_run_coarse_tol_between_two_roots_exits_0(capsys):
+    # (x-1)(x^2+2x-1) at tol 1 settles at 3/4, between the roots 1 and
+    # sqrt 2 - 1, which both lie within discrepancy + tol of it; 1 is nearer
+    code, out, _ = run_cli(capsys, "run", "--poly", "x^3 + x^2 - 3x + 1", "--tol", "1")
+    assert code == 0
+    assert "final: 0.75 = 3/4" in out
+    assert "oracle agreement: yes" in out
+    assert main(["run", "--poly", "x^2 + 3x + 1"]) == 4
+
+
 def test_run_dominance_failure_message(capsys):
     code, out, _ = run_cli(capsys, "run", "--poly", "x^2 + 3x + 1")
     assert code == 4

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 import sys
 import tracemalloc
@@ -26,6 +28,7 @@ from symroot.estimation import (
     _certainly_unsettled,
     _float_ratios,
     _float_tol,
+    _nearest_is_largest,
     _profile_agrees,
     _roots_in,
     _settled,
@@ -325,6 +328,51 @@ def test_estimate_above_every_root_agrees():
     rep = estimate_root(parse_polynomial("x^2 + 3x + 1"))
     assert rep.final_estimate < -2
     assert rep.oracle_agreement is False
+    # (x-1)(x^2+2x-1) at tol 1 settles at 3/4, between sqrt 2 - 1 and 1,
+    # with both in the window; 1 is nearer
+    rep = estimate_root(parse_polynomial("x^3 + x^2 - 3x + 1"), tol=1)
+    assert rep.final_estimate == Fraction(3, 4)
+    assert rep.oracle_agreement is True
+
+
+def test_coarse_agreement_matches_sympy_nearest_root():
+    # on a seeded sample of the coarse sweep (degree 2-3, coefficients
+    # -5..5, tol 1/100 to 2), False means another real root lies at least as
+    # near the estimate as the largest, and True that none lies nearer
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    sweep = [
+        (a, tol)
+        for m in (2, 3)
+        for a in itertools.product(range(-5, 6), repeat=m)
+        if a[-1]
+        for tol in (Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), 1, 2)
+    ]
+    slack = sympy.Float("1e-40", 60)
+    false_seen = 0
+    for a, tol in random.Random(1501).sample(sweep, 50):
+        rep = estimate_root(MonicPolynomial(a), tol=tol)
+        if rep.oracle_agreement is None:
+            continue
+        f = sympy.Rational(rep.final_estimate.numerator, rep.final_estimate.denominator)
+        poly = sympy.Poly([1, *(-c for c in a)], x)
+        *lower, r = sorted({sympy.N(z, 60) for z in poly.real_roots()})
+        d = [abs(z - f) - abs(r - f) for z in lower]
+        if rep.oracle_agreement:
+            assert all(e > -slack for e in d), (a, tol)
+        else:
+            assert any(e < slack for e in d), (a, tol)
+            false_seen += 1
+    assert false_seen >= 3
+
+
+def test_equally_near_roots_do_not_agree():
+    # (x-1)(x-2): 3/2 is as near 1 as 2, and 8/5 is nearer 2; the window
+    # (3/2, 2] ends on 2 itself, so the tie is not hidden by the bisection
+    sturm = _sturm_sequence(parse_polynomial("x^2 - 3x + 2"))
+    for hi in (Fraction(2), Fraction(5, 2)):
+        assert _nearest_is_largest(sturm, Fraction(3, 2), hi, Fraction(4)) is False
+        assert _nearest_is_largest(sturm, Fraction(8, 5), hi, Fraction(4)) is True
 
 
 def test_oracle_picks_rightmost_root():
@@ -657,7 +705,7 @@ def _check_replayed_history(p, v0, max_iters, tol=TOL):
     assert tuple(rep.history) == eager
     assert len(rep.history) == len(eager)
     assert rep.history[-1] == eager[-1]
-    return rep.status
+    return rep
 
 
 @settings(max_examples=200, deadline=None)
@@ -686,7 +734,62 @@ def test_replayed_history_matches_eager_history(a, raw, max_iters, tol):
 )
 def test_replayed_history_on_every_status(text, initial, max_iters, status):
     v0 = None if initial is None else CountVector(initial)
-    assert _check_replayed_history(parse_polynomial(text), v0, max_iters) is status
+    assert _check_replayed_history(parse_polynomial(text), v0, max_iters).status is status
+
+
+def _x_plus_1_mod_2(m, t):
+    # a_i = C(m, i) + 2 t_i, so p = x^m - a_1 x^(m-1) - ... - a_m is
+    # (x+1)^m mod 2: R = I + C(p) is nilpotent mod 2, and the counts gain a
+    # factor 2 at least every m steps
+    return MonicPolynomial(tuple(math.comb(m, i) % 2 + 2 * t[i - 1] for i in range(1, m + 1)))
+
+
+def _check_raw_counts(p, v0, max_iters, tol=TOL):
+    # the loop's last counts are raw: they match the eager history and the
+    # replay, and its decisions match the rule that keeps every direction
+    rep = _check_replayed_history(p, v0, max_iters, tol)
+    v0 = v0 or CountVector.unit(p.degree)
+    assert (rep.status, rep.iterations_used) == _unbounded_cycle_rule(p, v0, max_iters, tol)
+    want = rep.history[-1][0].value if rep.status is Status.CONVERGED else None
+    assert rep.final_estimate == want
+    return rep
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(lambda m: st.lists(st.integers(-2, 2), min_size=m, max_size=m)),
+    st.none() | st.tuples(st.integers(0, 5), st.lists(st.integers(-3, 3), min_size=5, max_size=5)),
+    st.integers(1, 200),
+    st.sampled_from((TOL, Fraction(1, 1000))),
+)
+def test_stripped_loop_matches_the_raw_counts(t, start, max_iters, tol):
+    # the loop carries the counts over their common power of two, and every
+    # decision and the returned counts match the raw iteration; a start may
+    # carry a common power of two of its own
+    p = _x_plus_1_mod_2(len(t), t)
+    v0 = None if start is None else CountVector(tuple(x << start[0] for x in start[1][: p.degree]))
+    _check_raw_counts(p, v0, max_iters, tol)
+
+
+def test_stripped_loop_returns_the_raw_counts_of_a_deep_run():
+    # (x-3)^2 (x+1): 1 + lambda is 4, 4 and 0, so the counts gain 2 bits a
+    # step, 39996 of the 40014 bits by step 20000, and all of them come back
+    p = parse_polynomial("x^3 - 5x^2 + 3x + 9")
+    rep = estimate_root(p, max_iters=20000, compare_oracle=False)
+    v = CountVector.unit(3)
+    for _ in range(20000):
+        v = step_counts(p, v)
+    z = functools.reduce(operator.or_, v.n)
+    assert ((z & -z).bit_length() - 1, max(x.bit_length() for x in v.n)) == (39996, 40014)
+    assert rep.history[-1] == tuple(ratio_estimates(v, iteration=20000))
+
+
+def test_first_visit_filed_stripped_is_revisited():
+    # x^2 + x + 1 has R^3 = -I: the start (2, 4) is filed as (1, 2) at k = 0,
+    # before k = m, and v_3 = (-2, -4) revisits it
+    rep = _check_raw_counts(parse_polynomial("x^2 + x + 1"), CountVector((2, 4)), 60)
+    assert (rep.status, rep.iterations_used) == (Status.NO_REAL_LIMIT, 3)
+    assert [(r.numerator, r.denominator) for r in rep.history[-1]] == [(-2, -4)]
 
 
 def test_history_is_a_read_only_sequence():
