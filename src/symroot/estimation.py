@@ -3,9 +3,10 @@
 When the count-vector direction settles, it settles onto a geometric profile
 (r^(m-1), ..., r, 1), so every consecutive-entry ratio estimates the same
 number r, a root of the polynomial. Every decision here is exact on integers
-and rationals; floats only rule out comparisons that are certainly false,
-and appear otherwise only in rendered output. An independent oracle, a grid
-scan certified by a Sturm sequence and then bisection, finds the largest real
+and rationals; floats and the counts' top bits only decide comparisons whose
+answer a proved error bound already fixes, and floats appear otherwise only
+in rendered output. An independent oracle, a grid scan certified by a Sturm
+sequence of integer polynomials and then bisection, finds the largest real
 root, repeated and close roots included, and cross-checks that the ratios
 landed on it, because the dominant direction can belong to a root other than
 the largest real one.
@@ -14,6 +15,7 @@ the largest real one.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
@@ -43,6 +45,11 @@ DEFAULT_MAX_ITERS = 256
 # negative big int costs several adds, so stripping every step costs more
 # than the bits it saves
 _STRIP_EVERY = 32
+# bits of the shortest count that the settle check's top-bit filter keeps:
+# its products are about twice this wide, and for counts of like size it
+# leaves to the full-width products only ratio gaps within about
+# 2^-(_TOP_BITS - 8) of tol, relative to the ratios
+_TOP_BITS = 128
 
 
 class Status(str, Enum):
@@ -240,19 +247,62 @@ def _below(a: int, b: int, c: int, d: int) -> bool:
     return a * d < c * b if (b > 0) == (d > 0) else a * d > c * b
 
 
+def _top_cross(a: int, b: int, c: int, d: int) -> tuple[int, int, int] | None:
+    # (X, Y, e) from the four counts shifted right by one s, so that the
+    # shortest keeps _TOP_BITS bits: X = a'd' - c'b' and Y = b'd' for
+    # a' = a >> s, ..., and e = |a'| + |b'| + |c'| + |d'| + 2. Then
+    # |(ad - cb) - 2^2s X| < 2^2s e and |bd - 2^2s Y| < 2^2s e: >> floors for
+    # either sign, so a = 2^s a' + r with 0 <= r < 2^s, d = 2^s d' + q
+    # likewise, and ad - 2^2s a'd' = 2^s (a' q + d' r) + r q is less than
+    # 2^2s (|a'| + |d'| + 1) in size. None when s <= 0: the counts are
+    # short, and the exact products cheap
+    s = min(a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length()) - _TOP_BITS
+    if s <= 0:
+        return None
+    a, b, c, d = a >> s, b >> s, c >> s, d >> s
+    return a * d - c * b, b * d, abs(a) + abs(b) + abs(c) + abs(d) + 2
+
+
+def _top_within(a: int, b: int, c: int, d: int, tol: Fraction) -> bool:
+    # _within(a, b, c, d, tol), decided on the top bits when they can: by
+    # _top_cross, |ad - cb| < 2^2s (|X| + e) and |bd| > 2^2s (|Y| - e), so the
+    # first test proves |ad - cb| T_den < T_num |bd|; and |ad - cb| > 2^2s
+    # (|X| - e), |bd| < 2^2s (|Y| + e), so the second proves the opposite.
+    # The full-width products decide only what falls between the two tests
+    top = _top_cross(a, b, c, d)
+    if top is not None:
+        x, y, e = top
+        x, y = abs(x), abs(y)
+        if (x + e) * tol.denominator <= tol.numerator * (y - e):
+            return True
+        if (x - e) * tol.denominator >= tol.numerator * (y + e):
+            return False
+    return _within(a, b, c, d, tol)
+
+
+def _top_below(a: int, b: int, c: int, d: int) -> bool:
+    # _below(a, b, c, d), decided on the top bits when they can: by
+    # _top_cross, ad - cb lies strictly between 2^2s (X - e) and 2^2s (X + e),
+    # so it has X's sign once |X| >= e
+    top = _top_cross(a, b, c, d)
+    if top is not None and abs(top[0]) >= top[2]:
+        return (top[0] < 0) == ((b > 0) == (d > 0))
+    return _below(a, b, c, d)
+
+
 def _profile_agrees(d: tuple[int, ...], tol: Fraction) -> bool:
     # all m-1 ratios d[j-1]/d[j] are defined and agree pairwise within tol,
     # which is to say their largest and smallest do: found exactly in m-2
-    # steps, then one _within
+    # steps, then one _within, unless they are one ratio (always so at m = 2)
     if 0 in d[1:]:
         return False
     lo = hi = 1
     for j in range(2, len(d)):
-        if _below(d[j - 1], d[j], d[lo - 1], d[lo]):
+        if _top_below(d[j - 1], d[j], d[lo - 1], d[lo]):
             lo = j
-        elif _below(d[hi - 1], d[hi], d[j - 1], d[j]):
+        elif _top_below(d[hi - 1], d[hi], d[j - 1], d[j]):
             hi = j
-    return _within(d[hi - 1], d[hi], d[lo - 1], d[lo], tol)
+    return lo == hi or _top_within(d[hi - 1], d[hi], d[lo - 1], d[lo], tol)
 
 
 def _settled(prev: tuple[int, ...] | None, cur: tuple[int, ...], tol: Fraction) -> bool:
@@ -264,7 +314,9 @@ def _settled(prev: tuple[int, ...] | None, cur: tuple[int, ...], tol: Fraction) 
         prev is not None
         and _profile_agrees(prev, tol)
         and _profile_agrees(cur, tol)
-        and all(_within(prev[j - 1], prev[j], cur[j - 1], cur[j], tol) for j in range(1, len(cur)))
+        and all(
+            _top_within(prev[j - 1], prev[j], cur[j - 1], cur[j], tol) for j in range(1, len(cur))
+        )
     )
 
 
@@ -386,19 +438,25 @@ def _iterate(
                 n = tuple(x >> s for x in n)
                 shift += s
         cur_f = _float_ratios(n)
-        filtered = prev_f and cur_f and _certainly_unsettled(prev_f, cur_f, tol_f)
+        # a slow run's first ratio pair is certainly apart on nearly every
+        # step before it settles, and is tested first with no generator
+        filtered = prev_f and cur_f and (
+            _certainly_apart(prev_f[0], cur_f[0], tol_f)
+            or _certainly_unsettled(prev_f, cur_f, tol_f)
+        )
         if not filtered and _settled(prev, n, tol):
             status = Status.CONVERGED
             break
         nonzero = bytes(map(bool, n))
-        first_seen = next(
-            (
-                j
-                for u, u_f, j in visits.get(nonzero, ())
-                if not _certainly_not_proportional(u_f, cur_f) and _proportional(u, n)
-            ),
-            None,
-        )
+        first_seen = None
+        for u, u_f, j in visits.get(nonzero, ()):
+            # most filed visits fall to their first float ratio pair, tested
+            # first with no generator behind it
+            if u_f and cur_f and _certainly_apart(u_f[0], cur_f[0], 0.0):
+                continue
+            if not _certainly_not_proportional(u_f, cur_f) and _proportional(u, n):
+                first_seen = j
+                break
         if first_seen is None:
             if k <= m:
                 visits.setdefault(nonzero, []).append((n, cur_f, k))
@@ -485,6 +543,10 @@ def estimate_root(
 
 
 _GRID_CELLS = 8192
+# the grid scan asks the Sturm count whether any root is left below it once
+# every so many cells: a scan that stops within the first 1024 cells pays
+# one count, at -B, and one that walks them all pays at most eight
+_SCAN_CHECK_EVERY = 1024
 # halvings of the window before the nearest-root test gives up; each costs a
 # few Sturm counts, and only runs that no cheaper test decides reach it
 _NEAREST_HALVINGS = 64
@@ -494,20 +556,26 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _horner(q: list[Fraction], x: Fraction) -> Fraction:
-    # q holds descending coefficients
-    value = Fraction(0)
-    for c in q:
-        value = value * x + c
-    return value
+def _sign_at(q: list[int], x) -> int:
+    # the sign of q(x), q's integer coefficients descending, x = a/b in
+    # lowest terms (b > 0): the sign of b^d q(a/b) = sum c_i a^(d-i) b^i, by
+    # homogeneous Horner with no Fraction to reduce
+    a, b = x.numerator, x.denominator
+    value, b_i = q[0], 1
+    for c in q[1:]:
+        b_i *= b
+        value = value * a + c * b_i
+    return _sign(value)
 
 
-def _sturm_sequence(p: MonicPolynomial) -> list[list[Fraction]]:
+def _sturm_sequence(p: MonicPolynomial) -> list[list[int]]:
     # p, p', then each member is minus the remainder of the two before it,
     # down to g, the last nonzero one, a gcd of p and p'; all of them divided
     # by g. Sign variations along it then count the distinct real roots of p
     # (Sturm 1829), and the count stays exact at a repeated root, where the
-    # undivided members all vanish
+    # undivided members all vanish. Each member is kept times the positive
+    # lcm of its denominators, which changes no sign, so that _sign_at works
+    # on integers
     f = [Fraction(1), *(Fraction(-a) for a in p.a)]
     seq = [f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]]
     while True:
@@ -516,7 +584,11 @@ def _sturm_sequence(p: MonicPolynomial) -> list[list[Fraction]]:
             break
         seq.append([-c for c in r])
     g = seq[-1]
-    return [_divmod(q, g)[0] for q in seq]
+    sturm = []
+    for q in (_divmod(q, g)[0] for q in seq):
+        scale = math.lcm(*(c.denominator for c in q))
+        sturm.append([c.numerator * (scale // c.denominator) for c in q])
+    return sturm
 
 
 def _divmod(u: list[Fraction], v: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -534,20 +606,20 @@ def _divmod(u: list[Fraction], v: list[Fraction]) -> tuple[list[Fraction], list[
     return q, u
 
 
-def _variations(sturm: list[list[Fraction]], x: Fraction) -> int:
+def _variations(sturm: list[list[int]], x: Fraction) -> int:
     # sign changes along the sequence at x, zeros skipped; from a to b > a it
     # drops by the number of distinct roots of p in (a, b]
-    signs = [s for s in (_sign(_horner(q, x)) for q in sturm) if s]
+    signs = [s for s in (_sign_at(q, x) for q in sturm) if s]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _roots_in(sturm: list[list[Fraction]], a: Fraction, b: Fraction) -> int:
+def _roots_in(sturm: list[list[int]], a: Fraction, b: Fraction) -> int:
     # distinct roots of p in [a, b]
-    return _variations(sturm, a) - _variations(sturm, b) + (_horner(sturm[0], a) == 0)
+    return _variations(sturm, a) - _variations(sturm, b) + (_sign_at(sturm[0], a) == 0)
 
 
 def _nearest_is_largest(
-    sturm: list[list[Fraction]], final: Fraction, hi: Fraction, top: Fraction
+    sturm: list[list[int]], final: Fraction, hi: Fraction, top: Fraction
 ) -> bool:
     # True if the largest real root, r, is the real root nearest final, given
     # r <= hi and top above every root. With no root above final, every other
@@ -582,8 +654,11 @@ def oracle_largest_real_root(p: MonicPolynomial, precision) -> Fraction | None:
     Every root lies strictly inside (-B, B) for the coefficient bound
     B = 1 + max |c_k| (Cauchy). The scan walks the grid of 8192 cells over
     [-B, B] from the right and stops at the first grid zero or sign change.
-    A Sturm sequence of p then counts the distinct roots to the right of
-    that point, repeated roots included. A grid zero with none to its right
+    A Sturm sequence of p, each member an integer polynomial whose signs are
+    read by integer Horner, then counts the distinct roots to the right of
+    that point, repeated roots included. Every 1024 cells the scan also asks
+    the count whether any root is left below it; if none is, it ends at -B at
+    once, where the full scan would end. A grid zero with none to its right
     is returned exactly, and a cell whose sign change holds the only one is
     bisected by sign to a half-width of `precision`. Otherwise (a root of
     even multiplicity, or several roots in one cell) the largest root is
@@ -596,7 +671,7 @@ def oracle_largest_real_root(p: MonicPolynomial, precision) -> Fraction | None:
 
 
 def _largest_real_root(
-    p: MonicPolynomial, precision: Fraction, sturm: list[list[Fraction]]
+    p: MonicPolynomial, precision: Fraction, sturm: list[list[int]]
 ) -> Fraction | None:
     if p.degree == 1:
         return Fraction(p.a[0])
@@ -607,11 +682,21 @@ def _largest_real_root(
     # end of the rightmost sign change, the point a full scan from -B would
     # settle on. Failing both, lo ends at -B with p(-B) > 0
     hi = top = Fraction(bound)
+    v_bottom = _variations(sturm, -bound)
     for t in range(_GRID_CELLS - 1, -1, -1):
         lo = Fraction(-bound) + step * t
         flo = p.eval_at(lo)
         if flo <= 0:
             break
+        if t and t % _SCAN_CHECK_EVERY == 0:
+            # no root in (-B, lo], as V(-B) = V(lo) shows, and p(lo) > 0: p
+            # stays positive down to -B, so the scan would end there without
+            # a break. Take that end state now (hi is read only after a
+            # break on p(lo) < 0)
+            if _variations(sturm, lo) == v_bottom:
+                lo = Fraction(-bound)
+                flo = p.eval_at(lo)
+                break
         hi = lo
     v_top = _variations(sturm, top)
     right = _variations(sturm, lo) - v_top  # distinct roots in (lo, B]

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import operator
@@ -21,9 +22,11 @@ from symroot import (
     parse_polynomial,
     ratio_estimates,
 )
+from symroot import estimation
 from symroot.counting import step_counts
 from symroot.errors import DegreeTooSmallError
 from symroot.estimation import (
+    _below,
     _certainly_not_proportional,
     _certainly_unsettled,
     _float_ratios,
@@ -33,11 +36,18 @@ from symroot.estimation import (
     _roots_in,
     _settled,
     _sturm_sequence,
+    _top_below,
+    _top_within,
+    _within,
 )
 from symroot.polynomial import MonicPolynomial
 
 GOLDEN = parse_polynomial("x^2 - x - 1")
 TOL = Fraction(1, 10**12)
+
+small_polys = st.lists(st.integers(-3, 3), min_size=2, max_size=4).map(
+    lambda a: MonicPolynomial(tuple(a))
+)
 
 
 def test_ratio_estimates_examples():
@@ -242,13 +252,69 @@ def test_oracle_finds_repeated_roots():
             "x^3 - 200x^2 + 9899x + 10100",
             Fraction(7452484605778648507071, 73786976294838206464),
         ),
+        # (x-3)^2: even multiplicity and no negative root, so the scan stops
+        # past the last root, at a Sturm checkpoint
+        ("x^2 - 6x + 9", Fraction(26388279066625, 8796093022208)),
+        # (x+100)(x+101): both roots negative and in one cell, which no
+        # checkpoint before them may skip
+        ("x^2 + 201x + 10100", Fraction(-1801439850948196095, 18014398509481984)),
+        ("x^4 - 2x^2 + 1", Fraction(4398046511103, 4398046511104)),  # (x-1)^2 (x+1)^2
     ],
 )
 def test_oracle_fractions_pinned(text, root):
     # in the first six the rightmost sign change holds the only root right of
-    # its cell, so it is bisected by sign; the double root 3 and the close
+    # its cell, so it is bisected by sign; the double roots and the close
     # pairs, which share one cell, are bisected on the Sturm count from B
     assert oracle_largest_real_root(parse_polynomial(text), TOL) == root
+
+
+def _close_pair_sample():
+    # (x - a)^2 - c, roots a +- sqrt c, c in 1..3: the grid step is about
+    # a^2 / 4096, so past |a| = 64 both roots share a cell or two; a third
+    # factor (x - b) sits left, right or between them
+    rng = random.Random(1024)
+    polys = []
+    for _ in range(24):
+        a, c = rng.choice((-1, 1)) * rng.randint(30, 300), rng.randint(1, 3)
+        pair = (a * a - c, -2 * a, 1)
+        if rng.random() < 0.5:
+            b = rng.randint(-400, 400)
+            pair = tuple(-b * x + y for x, y in zip(pair + (0,), (0,) + pair))
+        polys.append(pair)
+    return polys
+
+
+@pytest.mark.parametrize("coeffs", _close_pair_sample(), ids=str)
+def test_oracle_on_close_pairs_matches_sympy(coeffs, monkeypatch):
+    # the scan that stops at a Sturm checkpoint ends where the full scan
+    # ends, and both give sympy's largest real root
+    sympy = pytest.importorskip("sympy")
+    p = from_coefficients(coeffs)
+    got = oracle_largest_real_root(p, TOL)
+    assert abs(got - _sympy_largest_real_root(sympy, coeffs)) <= 2 * TOL
+    monkeypatch.setattr(estimation, "_SCAN_CHECK_EVERY", 10**9)  # never checks
+    assert oracle_largest_real_root(p, TOL) == got
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(
+            lambda roots: from_coefficients(_from_roots(roots))
+        ),
+        small_polys,
+    ),
+    st.sampled_from((1, 5, 64)),
+)
+def test_stopped_scan_ends_where_the_full_scan_ends(p, every):
+    # integer roots (repeated ones too) or small coefficients, checked at
+    # every cell, every 5th or every 64th: the oracle answers as the scan
+    # with no checkpoint does
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_SCAN_CHECK_EVERY", 10**9)
+        full = oracle_largest_real_root(p, TOL)
+        mp.setattr(estimation, "_SCAN_CHECK_EVERY", every)
+        assert oracle_largest_real_root(p, TOL) == full
 
 
 def _sympy_largest_real_root(sympy, coeffs):
@@ -308,7 +374,7 @@ def test_sturm_count_is_exact_at_repeated_roots_and_endpoints(roots, a, width):
     "text", ["x^2 - 201x + 10100", "x^3 - 200x^2 + 9899x + 10100"]  # (x-100)(x-101)(x+1)
 )
 def test_close_pairs_agree_by_the_nearest_root_rule(text):
-    # the ratios contract by 100/101 per step, so the settled estimate sits
+    # the ratios contract by 101/102 per step, so the settled estimate sits
     # about 1e-10 below 101 at tol 1e-12: past 4 tol, but 101 is still the
     # real root nearest it
     rep = estimate_root(parse_polynomial(text), max_iters=20000)
@@ -389,11 +455,6 @@ def test_eigenvector_profile_check():
     assert _profile_agrees((13, 8), Fraction(0))
     assert not _profile_agrees((3, 1, 1), Fraction(1, 1000))
     assert not _profile_agrees((1, 0, 1), Fraction(1))
-
-
-small_polys = st.lists(st.integers(-3, 3), min_size=2, max_size=4).map(
-    lambda a: MonicPolynomial(tuple(a))
-)
 
 
 @settings(max_examples=60)
@@ -483,12 +544,13 @@ def boundary_vectors(draw):
     # two count vectors whose ratios sit r + c tol apart with c in {0, 1},
     # each nudged by 0 or +-1/den: the exact settle rule's boundary. Ratios
     # run from 10^-1100 past 10^1100, a zero ratio makes a zero denominator,
-    # and common factors reach 2^3000
+    # and common factors reach 2^3000; with the nudges at 1/2^12000, counts
+    # pass 10^4 bits
     tol = Fraction(draw(st.integers(1, 999)), 7) * Fraction(10) ** draw(st.integers(-400, 400))
     m = draw(st.integers(2, 4))
     r = Fraction(draw(st.integers(-(10**6), 10**6)), draw(st.integers(1, 10**6)))
     r *= Fraction(10) ** draw(st.integers(-1100, 1100))
-    den = draw(st.sampled_from((3, 10**20, 10**400, 2**3000)))
+    den = draw(st.sampled_from((3, 10**20, 10**400, 2**3000, 2**12000)))
     vectors = []
     for _ in range(2):
         ratios = [
@@ -519,6 +581,57 @@ def test_float_filter_never_overrides_the_exact_settle_rule(case):
         v = tuple(c * x for x in u)
         assert list(map(bool, v)) == list(map(bool, u))
         assert not _certainly_not_proportional(_float_ratios(v), uf)
+
+
+def _full_width_settled(u, w, tol):
+    # reference: the settle rule on every pair of ratios, each compared by
+    # the full-width _within, with no filter and no max/min shortcut
+    def agrees(d):
+        return 0 not in d[1:] and all(
+            _within(d[i - 1], d[i], d[j - 1], d[j], tol)
+            for i in range(1, len(d))
+            for j in range(1, len(d))
+        )
+
+    return (
+        agrees(u)
+        and agrees(w)
+        and all(_within(u[j - 1], u[j], w[j - 1], w[j], tol) for j in range(1, len(u)))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_vectors())
+def test_top_bit_filter_matches_the_full_width_rule(case):
+    # the settle check decides on ~128 top bits where the proved error bound
+    # allows; every decision must be the full-width one
+    u, w, tol = case
+    assert _settled(u, w, tol) == _full_width_settled(u, w, tol)
+    pairs = [(d[j - 1], d[j]) for d in (u, w) for j in range(1, len(d)) if d[j]]
+    for (a, b), (c, d) in itertools.product(pairs, repeat=2):
+        assert _top_within(a, b, c, d, tol) == _within(a, b, c, d, tol)
+        assert _top_below(a, b, c, d) == _below(a, b, c, d)
+
+
+def test_top_bit_filter_boundary_cases():
+    # one ratio (m = 2) and all-equal ratios agree at tol 0 with no product;
+    # a 15600-bit profile one unit off is apart by 1/(100 K), which only the
+    # full-width products see
+    k = 3**9842  # 15600 bits
+    assert k.bit_length() == 15600
+    assert _profile_agrees((k + 1, k), Fraction(0))
+    assert _profile_agrees((-k, 7), Fraction(0))
+    assert _profile_agrees((8 * k, 4 * k, 2 * k, k), Fraction(0))
+    assert _profile_agrees((-27 * k, 18 * k, -12 * k, 8 * k), Fraction(0))
+    off = (100**2 * k + 1, 100 * k, k)
+    gap = Fraction(1, 100 * k)
+    assert not _profile_agrees(off, gap - Fraction(1, 2**32000))
+    assert _profile_agrees(off, gap)
+    assert not _settled((100 * k, k), (100 * k + 1, k), gap)
+    assert _settled((100 * k, k), (100 * k + 1, k), Fraction(1, k))
+    assert _top_below(100 * k, k, 100 * k + 1, k)
+    assert not _top_below(100 * k + 1, k, 100 * k, k)
+    assert not _top_below(-100 * k, -k, 100 * k, k)
 
 
 @st.composite
@@ -597,25 +710,51 @@ def test_tol_past_the_double_range(tol, status, iterations):
     assert (rep.status, rep.iterations_used) == (status, iterations)
 
 
+DEEP_PINS = [
+    (  # (x-100)(x-101)
+        "x^2 - 201x + 10100", Status.CONVERGED, 2337,
+        Fraction(1819454249457678561, 18014398509481984), True,
+        "48e8f5f4b9c8e9974234e77108cfcb954bef828e12269d79ad26ce16d8b41f7f",
+    ),
+    (  # (x-100)(x-101)(x+1)
+        "x^3 - 200x^2 + 9899x + 10100", Status.CONVERGED, 2339,
+        Fraction(7452484605778648507071, 73786976294838206464), True,
+        "7266a138fe5c6965e8c31af034d0fa3618fe4057334b2c771183148c918268d3",
+    ),
+    (  # (x-3)^2 (x+1): never settles, so the oracle is not consulted
+        "x^3 - 5x^2 + 3x + 9", Status.MAX_ITERATIONS_REACHED, 20000, None, None, None,
+    ),
+    (
+        "x^12 - x - 1", Status.CONVERGED, 721,
+        Fraction(1167867350731, 1099511627776), True,
+        "6297f547106818909c5fca2fb878c10e57ae3a6ce21c8b76a18db8b971b119ca",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "text, status, iterations",
-    [
-        ("x^2 - 201x + 10100", Status.CONVERGED, 2337),  # (x-100)(x-101)
-        ("x^3 - 200x^2 + 9899x + 10100", Status.CONVERGED, 2339),  # (x-100)(x-101)(x+1)
-        ("x^3 - 5x^2 + 3x + 9", Status.MAX_ITERATIONS_REACHED, 20000),  # (x-3)^2 (x+1)
-        ("x^12 - x - 1", Status.CONVERGED, 721),
-    ],
+    "text, status, iterations, oracle, agrees, final_sha256",
+    DEEP_PINS,
+    ids=[f"{text}-{status.value}-{iterations}" for text, status, iterations, *_ in DEEP_PINS],
 )
-def test_deep_runs_pinned(text, status, iterations):
+def test_deep_runs_pinned(text, status, iterations, oracle, agrees, final_sha256):
     # the run keeps a few count vectors, not one per iterate: the history of
-    # (x-3)^2 (x+1) alone, kept whole, peaks at 160 MiB
+    # (x-3)^2 (x+1) alone, kept whole, peaks at 160 MiB. final's num and den
+    # have up to 15605 bits; hex() needs no lift of the int digit limit
     tracemalloc.start()
     try:
-        rep = estimate_root(parse_polynomial(text), max_iters=20000, compare_oracle=False)
+        rep = estimate_root(parse_polynomial(text), max_iters=20000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (rep.status, rep.iterations_used) == (status, iterations)
+    assert (rep.oracle_root, rep.oracle_agreement) == (oracle, agrees)
+    final = rep.final_estimate
+    if final_sha256 is None:
+        assert final is None
+    else:
+        digits = f"{final.numerator:x}/{final.denominator:x}"
+        assert hashlib.sha256(digits.encode()).hexdigest() == final_sha256
     assert peak < 8 * 2**20
 
 
