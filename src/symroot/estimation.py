@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, repeat
+from itertools import islice
 from operator import index, or_, truediv
 from typing import NamedTuple, TextIO
 
@@ -371,21 +371,28 @@ def _certainly_apart(x: float, y: float, tol_f: float) -> bool:
 def _certainly_unsettled(prev_f: list[float], cur_f: list[float], tol_f: float) -> bool:
     # some pair that _settled compares is certainly more than tol apart:
     # ratio j of prev and of cur, or two ratios within one profile, where the
-    # extremes are enough: |x - y| - 2^-50 (|x| + |y|) grows as x, y part
-    return any(_certainly_apart(x, y, tol_f) for x, y in zip(prev_f, cur_f)) or any(
-        _certainly_apart(min(f), max(f), tol_f) for f in (prev_f, cur_f)
+    # extremes are enough: |x - y| - 2^-50 (|x| + |y|) grows as x, y part.
+    # A plain loop, pair 0 first: a slow run's first pair is certainly apart
+    # on nearly every step before it settles
+    for x, y in zip(prev_f, cur_f):
+        if _certainly_apart(x, y, tol_f):
+            return True
+    return _certainly_apart(min(prev_f), max(prev_f), tol_f) or _certainly_apart(
+        min(cur_f), max(cur_f), tol_f
     )
 
 
 def _certainly_not_proportional(u_f: list[float] | None, v_f: list[float] | None) -> bool:
     # proportional counts have equal exact ratios, so one pair certainly
     # apart at tol 0 rules a revisit out; their top-bit floats need not be
-    # equal. A None side (zero denominator or overflow) rules nothing out
-    return (
-        u_f is not None
-        and v_f is not None
-        and any(map(_certainly_apart, u_f, v_f, repeat(0.0)))
-    )
+    # equal. A None side (zero denominator or overflow) rules nothing out.
+    # A plain loop, pair 0 first: most filed visits fall to their first pair
+    if u_f is None or v_f is None:
+        return False
+    for x, y in zip(u_f, v_f):
+        if _certainly_apart(x, y, 0.0):
+            return True
+    return False
 
 
 def _proportional(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
@@ -438,22 +445,13 @@ def _iterate(
                 n = tuple(x >> s for x in n)
                 shift += s
         cur_f = _float_ratios(n)
-        # a slow run's first ratio pair is certainly apart on nearly every
-        # step before it settles, and is tested first with no generator
-        filtered = prev_f and cur_f and (
-            _certainly_apart(prev_f[0], cur_f[0], tol_f)
-            or _certainly_unsettled(prev_f, cur_f, tol_f)
-        )
+        filtered = prev_f and cur_f and _certainly_unsettled(prev_f, cur_f, tol_f)
         if not filtered and _settled(prev, n, tol):
             status = Status.CONVERGED
             break
         nonzero = bytes(map(bool, n))
         first_seen = None
         for u, u_f, j in visits.get(nonzero, ()):
-            # most filed visits fall to their first float ratio pair, tested
-            # first with no generator behind it
-            if u_f and cur_f and _certainly_apart(u_f[0], cur_f[0], 0.0):
-                continue
             if not _certainly_not_proportional(u_f, cur_f) and _proportional(u, n):
                 first_seen = j
                 break
@@ -545,7 +543,7 @@ def estimate_root(
 _GRID_CELLS = 8192
 # the grid scan asks the Sturm count whether any root is left below it once
 # every so many cells: a scan that stops within the first 1024 cells pays
-# one count, at -B, and one that walks them all pays at most eight
+# no count, and one that walks them all pays at most eight, V(-B) included
 _SCAN_CHECK_EVERY = 1024
 # halvings of the window before the nearest-root test gives up; each costs a
 # few Sturm counts, and only runs that no cheaper test decides reach it
@@ -682,7 +680,7 @@ def _largest_real_root(
     # end of the rightmost sign change, the point a full scan from -B would
     # settle on. Failing both, lo ends at -B with p(-B) > 0
     hi = top = Fraction(bound)
-    v_bottom = _variations(sturm, -bound)
+    v_bottom = None  # V(-B), counted at the first checkpoint the scan reaches
     for t in range(_GRID_CELLS - 1, -1, -1):
         lo = Fraction(-bound) + step * t
         flo = p.eval_at(lo)
@@ -693,6 +691,8 @@ def _largest_real_root(
             # stays positive down to -B, so the scan would end there without
             # a break. Take that end state now (hi is read only after a
             # break on p(lo) < 0)
+            if v_bottom is None:
+                v_bottom = _variations(sturm, -bound)
             if _variations(sturm, lo) == v_bottom:
                 lo = Fraction(-bound)
                 flo = p.eval_at(lo)
