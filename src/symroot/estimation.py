@@ -6,10 +6,10 @@ number r, a root of the polynomial. Every decision here is exact on integers
 and rationals; floats and the counts' top bits only decide comparisons whose
 answer a proved error bound already fixes, and floats appear otherwise only
 in rendered output. An independent oracle, a grid scan certified by a Sturm
-sequence of integer polynomials and then bisection, finds the largest real
-root, repeated and close roots included, and cross-checks that the ratios
-landed on it, because the dominant direction can belong to a root other than
-the largest real one.
+sequence of integer polynomials and then one bisection on its count, finds
+the largest real root, repeated and close roots included. The same count
+decides whether the ratios landed on it, because the dominant direction can
+belong to a root other than the largest real one.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from operator import index, or_, truediv
 from typing import NamedTuple, TextIO
 
 from .counting import CountVector, _step
-from .errors import DegreeTooSmallError, DimensionMismatchError
+from .errors import DegreeTooSmallError
 from .polynomial import MonicPolynomial
 
 __all__ = [
@@ -85,14 +85,14 @@ class RatioEstimate(NamedTuple):
 class History(Sequence):
     """The ratio estimates of v_0 .. v_k of one run, replayed on demand.
 
-    Iterating replays the count steps from v_0 and yields each entry once,
-    keeping none, so a run's memory does not grow with its iterations. len()
-    and [-1] cost O(1); any other int index replays up to it, which costs
-    O(i). Two histories of the same run are equal.
+    Iterating replays the count steps from v_0 = e_1, the counts of the word
+    1+, and yields each entry once, keeping none, so a run's memory does not
+    grow with its iterations. len() and [-1] cost O(1); any other int index
+    replays up to it, which costs O(i). Two histories of the same run are
+    equal.
     """
 
     p: MonicPolynomial
-    v0: CountVector
     length: int
     last: tuple[RatioEstimate, ...] = field(repr=False)
 
@@ -100,7 +100,7 @@ class History(Sequence):
         return self.length
 
     def __iter__(self) -> Iterator[tuple[RatioEstimate, ...]]:
-        a, n = self.p.a, self.v0.n
+        a, n = self.p.a, CountVector.unit(self.p.degree).n
         for k in range(self.length):
             if k:
                 n = _step(a, n)
@@ -137,15 +137,14 @@ class ConvergenceReport:
     """Everything one estimate_root run decided and saw along the way.
 
     history holds the ratio estimates of every iterate v_0 .. v_k: a History
-    that replays them from v_0 when read. After a consulted oracle, the
+    that replays them from v_0 = e_1 when read. After a consulted oracle, the
     agreement is decided by exact Sturm counts. True proves the largest real
-    root is the real root nearest final_estimate: no root lies above it, the
-    largest is the only one within discrepancy + tol of it, or bisecting that
-    window shows every lower root farther. False means another real root is
-    at least as near, or 64 halvings of that window could not show that none
-    is. A discrepancy above tol alone is no disagreement, since the settle
-    rule bounds the last step, not the distance to the root. The CLI exits 4
-    when the agreement is False.
+    root, r, is the real root nearest final_estimate: no root lies above it,
+    or bisecting the window above it, which holds r, shows every lower root
+    farther. False means another real root is at least as near, or 64
+    halvings of that window could not show that none is. A discrepancy above
+    tol alone is no disagreement, since the settle rule bounds the last step,
+    not the distance to the root. The CLI exits 4 when the agreement is False.
     """
 
     polynomial: MonicPolynomial
@@ -472,33 +471,38 @@ def _iterate(
     return status, k, tuple(x << shift for x in n)
 
 
+def _positive(x, name: str) -> Fraction:
+    # x as a Fraction above 0; ValueError for whatever Fraction cannot read
+    # as a finite number (inf, nan, "1/0") and for x <= 0
+    try:
+        x = Fraction(x)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a finite number, got {x!r}") from None
+    if x <= 0:
+        raise ValueError(f"{name} must be positive")
+    return x
+
+
 def estimate_root(
     p: MonicPolynomial,
     *,
-    initial: CountVector | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol=DEFAULT_TOL,
     compare_oracle: bool = True,
 ) -> ConvergenceReport:
     """Iterate the count map and read the root off the settling ratios.
 
-    Each step applies the iteration matrix to the m letter counts; the
-    literal words those counts belong to are never built. The run stops at
-    the first exact rule that fires (zero vector, settled ratios, or a count
-    vector proportional to an earlier one) and otherwise reports
-    MaxIterationsReached after max_iters steps; it never guesses a status.
+    The run starts from the word 1+, counts e_1. Each step applies the
+    iteration matrix to the m letter counts; the literal words those counts
+    belong to are never built. The run stops at the first exact rule that
+    fires (zero vector, settled ratios, or a count vector proportional to an
+    earlier one) and otherwise reports MaxIterationsReached after max_iters
+    steps; it never guesses a status.
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _positive(tol, "tol")
     if not isinstance(max_iters, int) or isinstance(max_iters, bool) or max_iters < 1:
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
-    if initial is not None and initial.m != p.degree:
-        raise DimensionMismatchError(
-            f"initial vector has {initial.m} entries, polynomial degree is {p.degree}"
-        )
 
-    v0 = initial if initial is not None else CountVector.unit(p.degree)
     if p.degree == 1:
         # no adjacent pair exists, but no iteration is needed either:
         # the root is a_1 exactly
@@ -506,26 +510,23 @@ def estimate_root(
         final = Fraction(p.a[0])
         note = "degree 1: the root equals a_1 exactly; no ratio iteration needed"
     else:
-        status, iterations_used, n = _iterate(p, v0.n, max_iters, tol)
+        status, iterations_used, n = _iterate(p, CountVector.unit(p.degree).n, max_iters, tol)
         last = tuple(_estimates(n, iterations_used))
         # a settled direction carries every ratio, so the first is n_1/n_2
         final = last[0].value if status is Status.CONVERGED else None
         note = None
-    history = History(p, v0, iterations_used + 1, last)
+    history = History(p, iterations_used + 1, last)
 
     oracle_root = agreement = discrepancy = None
     if status is Status.CONVERGED and compare_oracle:
         sturm = _sturm_sequence(p)
         oracle_root = _largest_real_root(p, tol, sturm)
         if oracle_root is not None:
-            # the oracle is within tol of the largest real root r, so r lies
-            # in [final - w, final + w] for w = discrepancy + tol; r is the
-            # real root nearest final if no other root lies there, or failing
-            # that, if _nearest_is_largest shows it
+            # the oracle is within tol of the largest real root r, so
+            # r <= final + discrepancy + tol
             discrepancy = abs(final - oracle_root)
-            w = discrepancy + tol
-            agreement = _roots_in(sturm, final - w, final + w) == 1 or _nearest_is_largest(
-                sturm, final, final + w, 1 + max(map(abs, p.a))
+            agreement = _nearest_is_largest(
+                sturm, final, final + discrepancy + tol, 1 + max(map(abs, p.a))
             )
     return ConvergenceReport(
         polynomial=p,
@@ -657,15 +658,13 @@ def oracle_largest_real_root(p: MonicPolynomial, precision) -> Fraction | None:
     that point, repeated roots included. Every 1024 cells the scan also asks
     the count whether any root is left below it; if none is, it ends at -B at
     once, where the full scan would end. A grid zero with none to its right
-    is returned exactly, and a cell whose sign change holds the only one is
-    bisected by sign to a half-width of `precision`. Otherwise (a root of
-    even multiplicity, or several roots in one cell) the largest root is
-    bisected on the Sturm count, from B down, to the same half-width.
+    is returned exactly. Otherwise the largest root is bisected on the Sturm
+    count to a half-width of `precision`: inside the cell when its sign change
+    is the only root to the right, and from B down otherwise (several roots
+    in one cell, a root of even multiplicity, or a root right of a grid zero).
+    A midpoint that is the largest root is returned exactly.
     """
-    precision = Fraction(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
-    return _largest_real_root(p, precision, _sturm_sequence(p))
+    return _largest_real_root(p, _positive(precision, "precision"), _sturm_sequence(p))
 
 
 def _largest_real_root(
@@ -702,26 +701,21 @@ def _largest_real_root(
     right = _variations(sturm, lo) - v_top  # distinct roots in (lo, B]
     if right == 0:
         return lo if flo == 0 else None
-    if flo < 0 and right == 1:
-        # the one root is the cell's sign change, from p(lo) < 0 to p(hi) > 0:
-        # bisect by sign
-        while hi - lo > 2 * precision:
-            mid = (lo + hi) / 2
-            fm = p.eval_at(mid)
-            if fm == 0:
-                return mid
-            if fm < 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
-    # several roots right of lo, or an even multiplicity: bisect on the
-    # count, keeping the largest root in (lo, hi]
-    hi = top
+    if flo >= 0 or right > 1:
+        # the cell's sign change, from p(lo) < 0 to p(hi) > 0, is the largest
+        # root only when it is the one root right of lo; otherwise (several
+        # roots right of lo, lo a grid zero, or lo = -B past roots of even
+        # multiplicity only) the largest root lies somewhere in (lo, B]
+        hi = top
+    # bisect on the count, keeping the largest root in (lo, hi]: a root lies
+    # above mid exactly when V(mid) > V(B), and with none above, p(mid) = 0
+    # makes mid the root
     while hi - lo > 2 * precision:
         mid = (lo + hi) / 2
         if _variations(sturm, mid) > v_top:
             lo = mid
+        elif _sign_at(sturm[0], mid) == 0:
+            return mid
         else:
             hi = mid
     return (lo + hi) / 2

@@ -31,6 +31,7 @@ from symroot.estimation import (
     _certainly_unsettled,
     _float_ratios,
     _float_tol,
+    _iterate,
     _nearest_is_largest,
     _profile_agrees,
     _roots_in,
@@ -127,7 +128,8 @@ def test_statuses_match_the_dominant_root_theory():
     # the counts are R^k e_1 with R = I + C, whose eigenvalues are 1 + lambda,
     # and e_1 is cyclic: the ratios converge to the root maximizing
     # |1 + lambda| when it is real and unique, and never settle when two
-    # distinct roots tie for it
+    # distinct roots tie for it; the counts reach zero only when R is
+    # nilpotent, for p = (x+1)^m
     mpmath = pytest.importorskip("mpmath")
     same = mpmath.mpf(10) ** -30  # relative distance below which roots coincide
     seen = set()
@@ -137,6 +139,8 @@ def test_statuses_match_the_dominant_root_theory():
                 if c[0] == 0:
                     continue
                 rep = estimate_root(from_coefficients(c + (1,)), compare_oracle=False)
+                x_plus_1 = c == tuple(math.comb(m, i) for i in range(m))
+                assert (rep.status is Status.DEGENERATE_START) == x_plus_1, c
                 if rep.status not in (Status.NO_REAL_LIMIT, Status.CONVERGED):
                     continue
                 seen.add(rep.status)
@@ -156,18 +160,14 @@ def test_statuses_match_the_dominant_root_theory():
     assert seen == {Status.NO_REAL_LIMIT, Status.CONVERGED}
 
 
-def test_degenerate_start_zero_vector():
-    rep = estimate_root(GOLDEN, initial=CountVector((0, 0)))
-    assert rep.status is Status.DEGENERATE_START
-    assert rep.iterations_used == 0
-    assert rep.final_estimate is None
-
-
-def test_degenerate_start_reached_mid_run():
-    # (x+1)^2 gives a nilpotent iteration matrix: e_1 dies in two steps
-    rep = estimate_root(parse_polynomial("x^2 + 2x + 1"))
-    assert rep.status is Status.DEGENERATE_START
-    assert rep.iterations_used == 2
+@pytest.mark.parametrize("m", range(2, 8))
+def test_degenerate_start_reached_mid_run(m):
+    # e_1 is cyclic for R = I + C(p), so R^k e_1 = 0 only when the
+    # characteristic polynomial p(mu - 1) of R is mu^m: for p = (x+1)^m,
+    # where e_1 dies at step m exactly
+    rep = estimate_root(from_coefficients([math.comb(m, i) for i in range(m + 1)]))
+    assert (rep.status, rep.iterations_used) == (Status.DEGENERATE_START, m)
+    assert rep.final_estimate is None and rep.oracle_root is None
 
 
 def test_degree_one_returns_root_with_note():
@@ -183,8 +183,13 @@ def test_degree_one_returns_root_with_note():
 
 
 def test_invalid_options_rejected():
-    with pytest.raises(ValueError):
-        estimate_root(GOLDEN, tol=0)
+    # a tol or precision that is no positive finite number is a ValueError,
+    # never the OverflowError or ZeroDivisionError of Fraction(inf) or "1/0"
+    for bad in (0, -1, math.inf, -math.inf, math.nan, "1/0", "inf", "x"):
+        with pytest.raises(ValueError):
+            estimate_root(GOLDEN, tol=bad)
+        with pytest.raises(ValueError):
+            oracle_largest_real_root(GOLDEN, bad)
     with pytest.raises(ValueError):
         estimate_root(GOLDEN, max_iters=0)
 
@@ -259,12 +264,19 @@ def test_oracle_finds_repeated_roots():
         # checkpoint before them may skip
         ("x^2 + 201x + 10100", Fraction(-1801439850948196095, 18014398509481984)),
         ("x^4 - 2x^2 + 1", Fraction(4398046511103, 4398046511104)),  # (x-1)^2 (x+1)^2
+        # (x-1)(x+8191): B = 8192 puts the grid on the even integers, and the
+        # first midpoint of the cell (0, 2] is the root, returned exactly
+        ("x^2 + 8190x - 8191", Fraction(1)),
+        # x (x-3)^2: the scan stops at the grid zero 0, and the double root
+        # right of it lies past that cell, so it is bisected from B
+        ("x^3 - 6x^2 + 9x", Fraction(26388279066625, 8796093022208)),
     ],
 )
 def test_oracle_fractions_pinned(text, root):
-    # in the first six the rightmost sign change holds the only root right of
-    # its cell, so it is bisected by sign; the double roots and the close
-    # pairs, which share one cell, are bisected on the Sturm count from B
+    # in the first six and (x-1)(x+8191), the rightmost sign change holds the
+    # only root right of its cell, so the count bisection stays inside that
+    # cell; the double roots, the close pairs, which share one cell, and the
+    # root right of a grid zero are bisected from B
     assert oracle_largest_real_root(parse_polynomial(text), TOL) == root
 
 
@@ -674,8 +686,8 @@ def test_cycle_rule_fires_when_one_side_overflows():
     assert _float_ratios(v0) is None
     assert _float_ratios((-a, -b)) is not None
     assert float(Fraction(a, b)) < math.inf
-    rep = _check_against_unbounded_rule(parse_polynomial("x^2 + 2x + 2"), CountVector(v0))
-    assert (rep.status, rep.iterations_used) == (Status.NO_REAL_LIMIT, 2)
+    got = _check_against_unbounded_rule(parse_polynomial("x^2 + 2x + 2"), CountVector(v0))
+    assert got == (Status.NO_REAL_LIMIT, 2)
 
 
 @pytest.mark.parametrize(
@@ -807,17 +819,17 @@ def _unbounded_cycle_rule(p, v, max_iters, tol):
 
 
 def _check_against_unbounded_rule(p, v0, max_iters=60):
-    rep = estimate_root(p, initial=v0, max_iters=max_iters, compare_oracle=False)
-    assert (rep.status, rep.iterations_used) == _unbounded_cycle_rule(p, v0, max_iters, TOL)
-    return rep
+    got = _iterate(p, v0.n, max_iters, TOL)[:2]
+    assert got == _unbounded_cycle_rule(p, v0, max_iters, TOL)
+    return got
 
 
 def test_cycle_memory_bounded_exactly():
     # R is singular here (p(-1) = 0), so early directions need not recur;
     # the first revisit still returns to one of d_0 .. d_m: d_7 = d_1
     p = parse_polynomial("x^4 + 2x^2 - 3")
-    rep = _check_against_unbounded_rule(p, CountVector((2, 2, 3, 1)))
-    assert (rep.status, rep.iterations_used) == (Status.NO_REAL_LIMIT, 7)
+    got = _check_against_unbounded_rule(p, CountVector((2, 2, 3, 1)))
+    assert got == (Status.NO_REAL_LIMIT, 7)
 
 
 @settings(max_examples=200, deadline=None)
@@ -832,19 +844,24 @@ def test_cycle_rule_matches_unbounded_memory(a, raw, from_e1):
     _check_against_unbounded_rule(p, v0)
 
 
-def _eager_history(p, v0, iterations):
-    # reference: every count vector kept, then read
-    vectors = iterate_counts(iteration_matrix(p), v0, iterations)
-    return tuple(tuple(ratio_estimates(v, iteration=k)) for k, v in enumerate(vectors))
-
-
 def _check_replayed_history(p, v0, max_iters, tol=TOL):
-    rep = estimate_root(p, initial=v0, max_iters=max_iters, tol=tol, compare_oracle=False)
-    eager = _eager_history(p, v0 or CountVector.unit(p.degree), rep.iterations_used)
-    assert tuple(rep.history) == eager
-    assert len(rep.history) == len(eager)
-    assert rep.history[-1] == eager[-1]
-    return rep
+    # the loop from v0 (e_1 if None) hands back the raw counts of the eager
+    # iteration; from e_1, estimate_root's replayed history matches the
+    # eager one too. Returns (status, iterations_used, last counts)
+    start = v0 or CountVector.unit(p.degree)
+    status, k, n = _iterate(p, start.n, max_iters, tol)
+    vectors = iterate_counts(iteration_matrix(p), start, k)  # reference: every vector kept
+    assert n == vectors[-1].n
+    if v0 is None:
+        rep = estimate_root(p, max_iters=max_iters, tol=tol, compare_oracle=False)
+        assert (rep.status, rep.iterations_used) == (status, k)
+        eager = tuple(tuple(ratio_estimates(v, iteration=i)) for i, v in enumerate(vectors))
+        assert tuple(rep.history) == eager
+        assert len(rep.history) == len(eager)
+        assert rep.history[-1] == eager[-1]
+        want = eager[-1][0].value if status is Status.CONVERGED else None
+        assert rep.final_estimate == want
+    return status, k, n
 
 
 @settings(max_examples=200, deadline=None)
@@ -873,7 +890,7 @@ def test_replayed_history_matches_eager_history(a, raw, max_iters, tol):
 )
 def test_replayed_history_on_every_status(text, initial, max_iters, status):
     v0 = None if initial is None else CountVector(initial)
-    assert _check_replayed_history(parse_polynomial(text), v0, max_iters).status is status
+    assert _check_replayed_history(parse_polynomial(text), v0, max_iters)[0] is status
 
 
 def _x_plus_1_mod_2(m, t):
@@ -886,12 +903,10 @@ def _x_plus_1_mod_2(m, t):
 def _check_raw_counts(p, v0, max_iters, tol=TOL):
     # the loop's last counts are raw: they match the eager history and the
     # replay, and its decisions match the rule that keeps every direction
-    rep = _check_replayed_history(p, v0, max_iters, tol)
+    got = _check_replayed_history(p, v0, max_iters, tol)
     v0 = v0 or CountVector.unit(p.degree)
-    assert (rep.status, rep.iterations_used) == _unbounded_cycle_rule(p, v0, max_iters, tol)
-    want = rep.history[-1][0].value if rep.status is Status.CONVERGED else None
-    assert rep.final_estimate == want
-    return rep
+    assert got[:2] == _unbounded_cycle_rule(p, v0, max_iters, tol)
+    return got
 
 
 @settings(max_examples=150, deadline=None)
@@ -926,9 +941,8 @@ def test_stripped_loop_returns_the_raw_counts_of_a_deep_run():
 def test_first_visit_filed_stripped_is_revisited():
     # x^2 + x + 1 has R^3 = -I: the start (2, 4) is filed as (1, 2) at k = 0,
     # before k = m, and v_3 = (-2, -4) revisits it
-    rep = _check_raw_counts(parse_polynomial("x^2 + x + 1"), CountVector((2, 4)), 60)
-    assert (rep.status, rep.iterations_used) == (Status.NO_REAL_LIMIT, 3)
-    assert [(r.numerator, r.denominator) for r in rep.history[-1]] == [(-2, -4)]
+    got = _check_raw_counts(parse_polynomial("x^2 + x + 1"), CountVector((2, 4)), 60)
+    assert got == (Status.NO_REAL_LIMIT, 3, (-2, -4))
 
 
 def test_history_is_a_read_only_sequence():
