@@ -11,30 +11,29 @@ precision; entries grow geometrically with iteration depth and that is fine.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import add, mul
 
-from .errors import DimensionMismatchError, IndexOutOfRangeError, NonIntegerCoefficientError
-from .polynomial import MonicPolynomial
+from .errors import DimensionMismatchError, IndexOutOfRangeError, InvalidOptionError
+from .errors import NonIntegerCoefficientError
+from .polynomial import FrozenValue, MonicPolynomial
 from .rewriting import WORD_CAP_DEFAULT, ReplacementRule, Word, letter_text, rewrite
 
 __all__ = ["CountVector", "count_word", "iterate_counts", "verify_commutation"]
 
 
-@dataclass(frozen=True)
-class CountVector:
+class CountVector(FrozenValue):
     """m exact signed letter counts."""
 
-    n: tuple[int, ...]
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        values = tuple(self.n)
-        if not values:
+    def __init__(self, n: tuple[int, ...]) -> None:
+        n = tuple(n)
+        if not n:
             raise DimensionMismatchError("count vector needs at least one entry")
-        for i, v in enumerate(values, start=1):
+        for i, v in enumerate(n, start=1):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise NonIntegerCoefficientError(f"n[{i}] = {v!r} is not an exact integer")
-        object.__setattr__(self, "n", values)
+        self._assign(locals())
 
     @property
     def m(self) -> int:
@@ -79,7 +78,7 @@ def step_counts(p: MonicPolynomial, v: CountVector) -> CountVector:
 def iterate_counts(p: MonicPolynomial, v0: CountVector, max_i: int):
     """v_0 .. v_max_i under repeated step_counts, all exact."""
     if max_i < 0:
-        raise ValueError("iteration count must be nonnegative")
+        raise InvalidOptionError("iteration count must be nonnegative")
     out = [v0]
     for _ in range(max_i):
         out.append(step_counts(p, out[-1]))

@@ -12,6 +12,10 @@ class SymrootError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidOptionError(SymrootError, ValueError):
+    """Raised when an option or argument is out of range; also a ValueError."""
+
+
 class PolynomialSyntaxError(SymrootError):
     """Raised when polynomial text cannot be parsed.
 

@@ -14,22 +14,24 @@ belong to a root other than the largest real one.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
 from operator import index, or_, truediv
-from typing import NamedTuple, TextIO
 
 from .counting import CountVector, _step
-from .errors import DegreeTooSmallError
-from .polynomial import MonicPolynomial
+from .errors import DegreeTooSmallError, InvalidOptionError
+from .polynomial import FrozenValue, MonicPolynomial
+
+TYPE_CHECKING = False  # typing costs a run's import time; type checkers read it
+if TYPE_CHECKING:
+    from typing import TextIO
 
 __all__ = [
     "DEFAULT_TOL",
@@ -68,21 +70,17 @@ class Status(str, Enum):
     NO_REAL_LIMIT = "NoRealLimit"
 
 
-class RatioEstimate(NamedTuple):
+class RatioEstimate(namedtuple("RatioEstimate", "j numerator denominator iteration")):
     """n_j / n_(j+1) at one iteration, kept unreduced; denominator never zero."""
 
-    j: int
-    numerator: int
-    denominator: int
-    iteration: int
+    __slots__ = ()
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
 
-@dataclass(frozen=True)
-class History(Sequence):
+class History(FrozenValue, Sequence):
     """The ratio estimates of v_0 .. v_k of one run, replayed on demand.
 
     Iterating replays the count steps from v_0 = e_1, the counts of the word
@@ -92,9 +90,13 @@ class History(Sequence):
     equal.
     """
 
-    p: MonicPolynomial
-    length: int
-    last: tuple[RatioEstimate, ...] = field(repr=False)
+    __slots__ = ("p", "length", "last")
+
+    def __init__(self, p: MonicPolynomial, length: int, last: tuple[RatioEstimate, ...]) -> None:
+        self._assign(locals())
+
+    def __repr__(self) -> str:  # without last, which the replay shows
+        return f"History(p={self.p!r}, length={self.length!r})"
 
     def __len__(self) -> int:
         return self.length
@@ -132,8 +134,7 @@ def _any_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(FrozenValue):
     """Everything one estimate_root run decided and saw along the way.
 
     history holds the ratio estimates of every iterate v_0 .. v_k: a History
@@ -147,15 +148,15 @@ class ConvergenceReport:
     not the distance to the root. The CLI exits 4 when the agreement is False.
     """
 
-    polynomial: MonicPolynomial
-    status: Status
-    iterations_used: int
-    history: History
-    final_estimate: Fraction | None
-    oracle_root: Fraction | None
-    oracle_agreement: bool | None
-    oracle_discrepancy: Fraction | None
-    note: str | None
+    __slots__ = ("polynomial", "status", "iterations_used", "history", "final_estimate",
+                 "oracle_root", "oracle_agreement", "oracle_discrepancy", "note")
+
+    def __init__(
+        self, polynomial: MonicPolynomial, status: Status, iterations_used: int,
+        history: History, final_estimate: Fraction | None, oracle_root: Fraction | None,
+        oracle_agreement: bool | None, oracle_discrepancy: Fraction | None, note: str | None,
+    ) -> None:
+        self._assign(locals())
 
     @_any_int_digits()
     def to_json_dict(self) -> dict:
@@ -168,6 +169,7 @@ class ConvergenceReport:
         """Write json.dumps(self.to_json_dict(), indent=2) to out, byte for
         byte, one history entry at a time, so a deep run's document is never
         held whole."""
+        import json  # only JSON output needs it; a table or TSV run skips its import
         head = json.dumps({**self._json_head(), "history": []}, indent=2)
         out.write(head[:-4])  # history is the last key: the text ends in "[]\n}"
         sep = "[\n"
@@ -472,14 +474,13 @@ def _iterate(
 
 
 def _positive(x, name: str) -> Fraction:
-    # x as a Fraction above 0; ValueError for whatever Fraction cannot read
-    # as a finite number (inf, nan, "1/0") and for x <= 0
+    # x as a Fraction above 0; InvalidOptionError otherwise, inf, nan, "1/0" and "x" included
     try:
         x = Fraction(x)
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"{name} must be a finite number, got {x!r}") from None
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise InvalidOptionError(f"{name} must be a finite number, got {x!r}") from None
     if x <= 0:
-        raise ValueError(f"{name} must be positive")
+        raise InvalidOptionError(f"{name} must be positive")
     return x
 
 
@@ -501,7 +502,7 @@ def estimate_root(
     """
     tol = _positive(tol, "tol")
     if not isinstance(max_iters, int) or isinstance(max_iters, bool) or max_iters < 1:
-        raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
+        raise InvalidOptionError(f"max_iters must be a positive integer, got {max_iters!r}")
 
     if p.degree == 1:
         # no adjacent pair exists, but no iteration is needed either:

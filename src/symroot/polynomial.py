@@ -9,7 +9,6 @@ touches coefficient sign conventions.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     EmptyInputError,
@@ -38,23 +37,55 @@ def _exact_int(value, context: str) -> int:
         raise NonIntegerCoefficientError(f"{context} = {value!r} is not an exact integer") from None
 
 
-@dataclass(frozen=True)
-class MonicPolynomial:
+class FrozenValue:
+    """An immutable value: __init__ sets the fields named in __slots__ once,
+    by _assign(locals()); it equals only an object of its own class with equal
+    fields and hashes, shows, pickles and copies as them. Not a dataclass,
+    whose import loads inspect and ast."""
+
+    __slots__ = ()
+
+    def _assign(self, values: dict) -> None:
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class MonicPolynomial(FrozenValue):
     """p(x) = x^m - a_1 x^(m-1) - ... - a_m with exact integer a_i.
 
     Note the built-in minus signs: a=(1, 1) is x^2 - x - 1, while
     x^2 + 3x + 1 has a=(-3, -1).
     """
 
-    a: tuple[int, ...]
+    __slots__ = ("a",)
 
-    def __post_init__(self) -> None:
-        coerced = tuple(
-            _exact_int(value, f"a[{i}]") for i, value in enumerate(self.a, start=1)
-        )
-        if not coerced:
+    def __init__(self, a: tuple[int, ...]) -> None:
+        a = tuple(_exact_int(value, f"a[{i}]") for i, value in enumerate(a, start=1))
+        if not a:
             raise ZeroDegreeError("degree must be at least 1")
-        object.__setattr__(self, "a", coerced)
+        self._assign(locals())
 
     @property
     def degree(self) -> int:

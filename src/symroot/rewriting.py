@@ -11,11 +11,10 @@ cancelled inside words; signs only interact later, in the count map.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 
-from .errors import EngineOverflowError, IndexOutOfRangeError
-from .polynomial import MonicPolynomial
+from .errors import EngineOverflowError, IndexOutOfRangeError, InvalidOptionError
+from .polynomial import FrozenValue, MonicPolynomial
 
 __all__ = [
     "PLUS",
@@ -42,7 +41,7 @@ def letter(index: int, sign: int) -> int:
     if isinstance(index, bool) or not isinstance(index, int) or index < 1:
         raise IndexOutOfRangeError(f"letter index must be a positive integer, got {index!r}")
     if sign not in (PLUS, MINUS):
-        raise ValueError(f"sign must be PLUS or MINUS, got {sign!r}")
+        raise InvalidOptionError(f"sign must be PLUS or MINUS, got {sign!r}")
     return index if sign == PLUS else -index
 
 
@@ -51,14 +50,14 @@ def letter_text(l: int) -> str:
     return f"{abs(l)}{'+' if l > 0 else '-'}"
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(FrozenValue):
     """Literal finite sequence of letters; the empty word is legal."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
+    def __init__(self, letters: tuple[int, ...] = ()) -> None:
+        letters = tuple(letters)
+        self._assign(locals())
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -91,11 +90,13 @@ class RleWord(Word):
         return " ".join(f"{letter_text(l)}^{k}" if k > 1 else letter_text(l) for l, k in runs)
 
 
-@dataclass(frozen=True)
-class ReplacementRule:
+class ReplacementRule(FrozenValue):
     """The rule of one polynomial; images are built from it when asked."""
 
-    polynomial: MonicPolynomial
+    __slots__ = ("polynomial",)
+
+    def __init__(self, polynomial: MonicPolynomial) -> None:
+        self._assign(locals())
 
     @property
     def m(self) -> int:
@@ -157,7 +158,7 @@ def iterate_words(rule: ReplacementRule, w0, i: int, cap: int = WORD_CAP_DEFAULT
     words that were completed before it.
     """
     if i < 0:
-        raise ValueError("iteration count must be nonnegative")
+        raise InvalidOptionError("iteration count must be nonnegative")
     words = [w0]
     for k in range(1, i + 1):
         try:

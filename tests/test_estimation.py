@@ -14,17 +14,21 @@ from hypothesis import assume, given, settings, strategies as st
 from symroot import (
     CountVector,
     Status,
+    build_rule,
+    default_initial_word,
     estimate_root,
     from_coefficients,
     iterate_counts,
+    iterate_words,
     iteration_matrix,
+    letter,
     oracle_largest_real_root,
     parse_polynomial,
     ratio_estimates,
 )
 from symroot import estimation
 from symroot.counting import step_counts
-from symroot.errors import DegreeTooSmallError
+from symroot.errors import DegreeTooSmallError, InvalidOptionError, SymrootError
 from symroot.estimation import (
     _below,
     _certainly_not_proportional,
@@ -183,15 +187,23 @@ def test_degree_one_returns_root_with_note():
 
 
 def test_invalid_options_rejected():
-    # a tol or precision that is no positive finite number is a ValueError,
-    # never the OverflowError or ZeroDivisionError of Fraction(inf) or "1/0"
+    # a tol or precision that is no positive finite number is an
+    # InvalidOptionError, never the OverflowError or ZeroDivisionError of
+    # Fraction(inf) or "1/0"; it is both a SymrootError, the package's one
+    # base class, and a ValueError, which callers caught before it existed
+    def rejected(call, *args, **kwargs):
+        with pytest.raises(InvalidOptionError) as caught:
+            call(*args, **kwargs)
+        assert isinstance(caught.value, SymrootError) and isinstance(caught.value, ValueError)
+
     for bad in (0, -1, math.inf, -math.inf, math.nan, "1/0", "inf", "x"):
-        with pytest.raises(ValueError):
-            estimate_root(GOLDEN, tol=bad)
-        with pytest.raises(ValueError):
-            oracle_largest_real_root(GOLDEN, bad)
-    with pytest.raises(ValueError):
-        estimate_root(GOLDEN, max_iters=0)
+        rejected(estimate_root, GOLDEN, tol=bad)
+        rejected(oracle_largest_real_root, GOLDEN, bad)
+    for bad in (0, -1, 1.0, True, "5"):
+        rejected(estimate_root, GOLDEN, max_iters=bad)
+    rejected(iterate_counts, GOLDEN, CountVector.unit(2), -1)
+    rejected(iterate_words, build_rule(GOLDEN), default_initial_word(), -1)
+    rejected(letter, 1, 0)
 
 
 def test_convergence_residual_bound():
