@@ -24,7 +24,7 @@ __all__ = ["CountVector", "count_word", "iterate_counts", "verify_commutation"]
 class CountVector(FrozenValue):
     """m exact signed letter counts."""
 
-    __slots__ = ("n",)
+    __slots__ = _fields = ("n",)
 
     def __init__(self, n: tuple[int, ...]) -> None:
         n = tuple(n)
@@ -33,7 +33,7 @@ class CountVector(FrozenValue):
         for i, v in enumerate(n, start=1):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise NonIntegerCoefficientError(f"n[{i}] = {v!r} is not an exact integer")
-        self._assign(locals())
+        self._assign(n)
 
     @property
     def m(self) -> int:

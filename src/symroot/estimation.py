@@ -90,10 +90,10 @@ class History(FrozenValue, Sequence):
     equal.
     """
 
-    __slots__ = ("p", "length", "last")
+    __slots__ = _fields = ("p", "length", "last")
 
     def __init__(self, p: MonicPolynomial, length: int, last: tuple[RatioEstimate, ...]) -> None:
-        self._assign(locals())
+        self._assign(p, length, last)
 
     def __repr__(self) -> str:  # without last, which the replay shows
         return f"History(p={self.p!r}, length={self.length!r})"
@@ -148,15 +148,16 @@ class ConvergenceReport(FrozenValue):
     not the distance to the root. The CLI exits 4 when the agreement is False.
     """
 
-    __slots__ = ("polynomial", "status", "iterations_used", "history", "final_estimate",
-                 "oracle_root", "oracle_agreement", "oracle_discrepancy", "note")
+    __slots__ = _fields = ("polynomial", "status", "iterations_used", "history", "final_estimate",
+                           "oracle_root", "oracle_agreement", "oracle_discrepancy", "note")
 
     def __init__(
         self, polynomial: MonicPolynomial, status: Status, iterations_used: int,
         history: History, final_estimate: Fraction | None, oracle_root: Fraction | None,
         oracle_agreement: bool | None, oracle_discrepancy: Fraction | None, note: str | None,
     ) -> None:
-        self._assign(locals())
+        self._assign(polynomial, status, iterations_used, history, final_estimate,
+                     oracle_root, oracle_agreement, oracle_discrepancy, note)
 
     @_any_int_digits()
     def to_json_dict(self) -> dict:

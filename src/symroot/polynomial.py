@@ -38,19 +38,19 @@ def _exact_int(value, context: str) -> int:
 
 
 class FrozenValue:
-    """An immutable value: __init__ sets the fields named in __slots__ once,
-    by _assign(locals()); it equals only an object of its own class with equal
-    fields and hashes, shows, pickles and copies as them. Not a dataclass,
-    whose import loads inspect and ast."""
+    """An immutable value: __init__ sets the fields named in _fields, which
+    subclasses inherit, once by _assign(*values); it equals only an object of
+    its own class with equal fields and hashes, shows, pickles and copies as
+    them. Not a dataclass, whose import loads inspect and ast."""
 
     __slots__ = ()
 
-    def _assign(self, values: dict) -> None:
-        for name in self.__slots__:
-            object.__setattr__(self, name, values[name])
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         same = other.__class__ is self.__class__
@@ -60,7 +60,7 @@ class FrozenValue:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value=None):
@@ -79,13 +79,13 @@ class MonicPolynomial(FrozenValue):
     x^2 + 3x + 1 has a=(-3, -1).
     """
 
-    __slots__ = ("a",)
+    __slots__ = _fields = ("a",)
 
     def __init__(self, a: tuple[int, ...]) -> None:
         a = tuple(_exact_int(value, f"a[{i}]") for i, value in enumerate(a, start=1))
         if not a:
             raise ZeroDegreeError("degree must be at least 1")
-        self._assign(locals())
+        self._assign(a)
 
     @property
     def degree(self) -> int:

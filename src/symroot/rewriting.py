@@ -53,11 +53,10 @@ def letter_text(l: int) -> str:
 class Word(FrozenValue):
     """Literal finite sequence of letters; the empty word is legal."""
 
-    __slots__ = ("letters",)
+    __slots__ = _fields = ("letters",)
 
     def __init__(self, letters: tuple[int, ...] = ()) -> None:
-        letters = tuple(letters)
-        self._assign(locals())
+        self._assign(tuple(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -65,9 +64,7 @@ class Word(FrozenValue):
     def __iter__(self):
         return iter(self.letters)
 
-    @property
-    def letter_count(self) -> int:
-        return len(self.letters)
+    letter_count = property(__len__)
 
     def render(self) -> str:
         """Trace text form: space-separated letters, e.g. "1+ 1- 2+"."""
@@ -79,6 +76,8 @@ class Word(FrozenValue):
 
 class RleWord(Word):
     """A Word that renders in run-length form; its letters are the word's own."""
+
+    __slots__ = ()
 
     @classmethod
     def compress(cls, w: Word) -> "RleWord":
@@ -93,10 +92,10 @@ class RleWord(Word):
 class ReplacementRule(FrozenValue):
     """The rule of one polynomial; images are built from it when asked."""
 
-    __slots__ = ("polynomial",)
+    __slots__ = _fields = ("polynomial",)
 
     def __init__(self, polynomial: MonicPolynomial) -> None:
-        self._assign(locals())
+        self._assign(polynomial)
 
     @property
     def m(self) -> int:

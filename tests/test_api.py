@@ -111,6 +111,15 @@ def test_value_classes_are_strict_between_word_kinds():
     assert build_rule(MonicPolynomial((1, 1))) == rule
 
 
+def test_value_subclass_keeps_the_fields_of_its_base():
+    # RleWord adds no field: it inherits Word's, and no per-object __dict__
+    w = RleWord((1, 1, 2))
+    assert not hasattr(w, "__dict__")
+    assert w == RleWord([1, 1, 2]) != RleWord((1, 2))
+    assert hash(w) == hash(RleWord((1, 1, 2))) and repr(w) == "RleWord(letters=(1, 1, 2))"
+    assert pickle.loads(pickle.dumps(w)) == copy.copy(w) == w
+
+
 def test_value_constructors_validate():
     assert MonicPolynomial([True + 1, 3]).a == (2, 3)
     with pytest.raises(ZeroDegreeError, match="^degree must be at least 1$"):
@@ -130,27 +139,50 @@ def test_value_constructors_validate():
         MonicPolynomial()
 
 
-_IMPORT_GUARD_CHILD = """
+# each child prints, space-separated, which of these it has loaded so far
+_HEAVY = "print(*sorted({'dataclasses', 'inspect', 'json', 'typing'} & set(sys.modules)))"
+
+_IMPORT_GUARD_CHILD = f"""
 import sys
 from symroot.cli import main
+{_HEAVY}
 code = main(['run', '--poly', 'x^2 - x - 1'])
-print(sorted({'dataclasses', 'inspect', 'json', 'typing'} & set(sys.modules)))
+{_HEAVY}
 sys.exit(code)
 """
 
+# argparse alone, with a parser like the CLI's: it loads none of them on
+# 3.10-3.13, while 3.14's help formatter imports _colorize, which uses dataclasses
+_ARGPARSE_CHILD = f"""
+import argparse, sys
+parser = argparse.ArgumentParser(prog='p', description='d')
+run = parser.add_subparsers(dest='command', required=True).add_parser('run', help='h')
+run.add_mutually_exclusive_group(required=True).add_argument('--poly', metavar='TEXT')
+parser.parse_args(['run', '--poly', 'x'])
+{_HEAVY}
+"""
 
-def test_a_run_imports_no_unused_heavy_module():
-    # a cold `symroot run` loads only what a run uses: dataclasses pulls in
-    # inspect, ast, dis and tokenize; json only serves --format json. With
-    # site off (-S), nothing but symroot's own imports can load them
+
+def _run_bare(child: str) -> list[str]:
+    # site off (-S): nothing but the child's own imports can load a module
     done = subprocess.run(
-        [sys.executable, "-S", "-c", _IMPORT_GUARD_CHILD],
+        [sys.executable, "-S", "-c", child],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    table, loaded = done.stdout.rsplit("\n", 2)[:2]
+    return done.stdout.splitlines()
+
+
+def test_a_run_imports_no_unused_heavy_module():
+    # a cold `symroot run` loads only what a run uses: dataclasses pulls in
+    # inspect, ast, dis and tokenize; json only serves --format json. The
+    # import loads none of them on any Python, the run none that argparse
+    # itself does not load for its parser
+    after_import, *table, after_run = _run_bare(_IMPORT_GUARD_CHILD)
+    assert after_import == ""
     assert "status: Converged" in table
-    assert loaded == "[]"
+    (by_argparse,) = _run_bare(_ARGPARSE_CHILD)
+    assert set(after_run.split()) <= set(by_argparse.split())
