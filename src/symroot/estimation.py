@@ -7,9 +7,10 @@ and rationals; floats and the counts' top bits only decide comparisons whose
 answer a proved error bound already fixes, and floats appear otherwise only
 in rendered output. An independent oracle, a grid scan certified by a Sturm
 sequence of integer polynomials and then one bisection on its count, finds
-the largest real root, repeated and close roots included. The same count
-decides whether the ratios landed on it, because the dominant direction can
-belong to a root other than the largest real one.
+the largest real root, repeated and close roots included; the scan starts
+above a bound that follows the positive roots, not at the coefficient
+bound. The same count decides whether the ratios landed on it, because the
+dominant direction can belong to a root other than the largest real one.
 """
 
 from __future__ import annotations
@@ -528,7 +529,7 @@ def estimate_root(
             # r <= final + discrepancy + tol
             discrepancy = abs(final - oracle_root)
             agreement = _nearest_is_largest(
-                sturm, final, final + discrepancy + tol, 1 + max(map(abs, p.a))
+                sturm, final, final + discrepancy + tol, _cauchy_bound(p)
             )
     return ConvergenceReport(
         polynomial=p,
@@ -567,6 +568,45 @@ def _sign_at(q: list[int], x) -> int:
         b_i *= b
         value = value * a + c * b_i
     return _sign(value)
+
+
+def _cauchy_bound(p: MonicPolynomial) -> int:
+    # B = 1 + max |a_i|: every root of p lies strictly inside (-B, B) (Cauchy)
+    return 1 + max(map(abs, p.a))
+
+
+def _root_bound(p: MonicPolynomial) -> int | Fraction:
+    # min(B, U), U a dyadic bound on the positive roots by the local-max-
+    # quadratic rule (Akritas, Strzebonski & Vigklas 2008): each negative
+    # c_i, highest i first, pairs with the positive c_j, j > i, that gives the
+    # least (2^t |c_i| / c_j)^(1/(j-i)) on c_j's t-th use, and U is the
+    # largest such root, 0 with no negative c_i. Any pairing bounds the
+    # roots: the fractions 2^-t of each c_j sum to less than 1, and
+    # c_j x^j / 2^t >= |c_i| x^i above the pair's root, so p > 0 above U.
+    # Floats only choose the pair; its root is rounded up exactly to a
+    # multiple of 2^-16, far finer than the grid step 2B/8192 >= 2^-12
+    c = [-x for x in reversed(p.a)] + [1]  # c[k] multiplies x^k
+    uses = [0] * len(c)
+    u = 0
+    for i in range(p.degree - 1, -1, -1):
+        if c[i] < 0:
+            j = min((j for j in range(i + 1, len(c)) if c[j] > 0),
+                    key=lambda j: (uses[j] + 1 + math.log2(-c[i]) - math.log2(c[j])) / (j - i))
+            uses[j] += 1
+            scaled = -((c[i] << uses[j] + 16 * (j - i)) // c[j])  # ceil(|c_i| 2^(t+16(j-i)) / c_j)
+            u = max(u, Fraction(_ceil_root(scaled, j - i), 1 << 16))
+    return min(_cauchy_bound(p), u)
+
+
+def _ceil_root(n: int, k: int) -> int:
+    # the least r >= 0 with r^k >= n, for n >= 0: integer Newton from
+    # 2^ceil(bits/k), above the root, down to the floor root
+    if n <= 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x + (x**k < n)
 
 
 def _sturm_sequence(p: MonicPolynomial) -> list[list[int]]:
@@ -653,8 +693,11 @@ def oracle_largest_real_root(p: MonicPolynomial, precision) -> Fraction | None:
     """Largest real root to within `precision`, or None if p has none.
 
     Every root lies strictly inside (-B, B) for the coefficient bound
-    B = 1 + max |c_k| (Cauchy). The scan walks the grid of 8192 cells over
-    [-B, B] from the right and stops at the first grid zero or sign change.
+    B = 1 + max |c_k| (Cauchy), and no root lies above the local-max-quadratic
+    bound U on the positive roots (Akritas, Strzebonski & Vigklas 2008), 0
+    when no coefficient is negative. The scan walks the grid of 8192 cells
+    over [-B, B] from the right, starting at the first grid point above
+    min(B, U), and stops at the first grid zero or sign change.
     A Sturm sequence of p, each member an integer polynomial whose signs are
     read by integer Horner, then counts the distinct roots to the right of
     that point, repeated roots included. Every 1024 cells the scan also asks
@@ -674,15 +717,20 @@ def _largest_real_root(
 ) -> Fraction | None:
     if p.degree == 1:
         return Fraction(p.a[0])
-    bound = 1 + max(map(abs, p.a))
+    bound = _cauchy_bound(p)
     step = Fraction(2 * bound, _GRID_CELLS)
-    # p is monic and every root lies below B, so p(B) > 0: the first grid
-    # point with p <= 0 from the right is the rightmost grid zero or the left
-    # end of the rightmost sign change, the point a full scan from -B would
-    # settle on. Failing both, lo ends at -B with p(-B) > 0
-    hi = top = Fraction(bound)
+    # the scan starts below hi, the first grid point above min(B, U), or B.
+    # p is monic with no root above min(B, U), so p > 0 at hi and at every
+    # grid point a scan from B would walk before it: the first grid point
+    # with p <= 0 from the right is the rightmost grid zero or the left end
+    # of the rightmost sign change, where a full scan from -B would settle.
+    # Failing both, lo ends at -B with p(-B) > 0; a skipped checkpoint could
+    # fire only if p had no real root, and then the scan ends at -B anyway
+    start = min(math.floor((_root_bound(p) + bound) / step) + 1, _GRID_CELLS)
+    hi = Fraction(-bound) + step * start
+    top = Fraction(bound)
     v_bottom = None  # V(-B), counted at the first checkpoint the scan reaches
-    for t in range(_GRID_CELLS - 1, -1, -1):
+    for t in range(start - 1, -1, -1):
         lo = Fraction(-bound) + step * t
         flo = p.eval_at(lo)
         if flo <= 0:

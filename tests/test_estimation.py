@@ -31,6 +31,7 @@ from symroot.counting import step_counts
 from symroot.errors import DegreeTooSmallError, InvalidOptionError, SymrootError
 from symroot.estimation import (
     _below,
+    _cauchy_bound,
     _certainly_not_proportional,
     _certainly_unsettled,
     _float_ratios,
@@ -38,6 +39,7 @@ from symroot.estimation import (
     _iterate,
     _nearest_is_largest,
     _profile_agrees,
+    _root_bound,
     _roots_in,
     _settled,
     _sturm_sequence,
@@ -282,6 +284,14 @@ def test_oracle_finds_repeated_roots():
         # x (x-3)^2: the scan stops at the grid zero 0, and the double root
         # right of it lies past that cell, so it is bisected from B
         ("x^3 - 6x^2 + 9x", Fraction(26388279066625, 8796093022208)),
+        # x (x+1): the root bound is 0, and the scan starts at the grid zero
+        # 0, the point just below the first grid point above it; no sign
+        # change, so 0 is returned exactly
+        ("x^2 + x", Fraction(0)),
+        # the root 3.702 and the root bound (2 * 9535)^(1/7) = 4.088 share a
+        # cell of width 2.33, so the first cell scanned holds the sign change,
+        # and the bisection stays inside it
+        ("x^7 - 9535", Fraction(1042111472942095, 281474976710656)),
     ],
 )
 def test_oracle_fractions_pinned(text, root):
@@ -380,6 +390,70 @@ def test_oracle_matches_sympy_real_roots(coeffs):
         assert got is None
     else:
         assert abs(got - want) <= 2 * TOL
+
+
+def _sparse_sample():
+    # the deep shapes: degree up to 24, a few terms, coefficients up to 10^6
+    rng = random.Random(1908)
+    polys = []
+    for _ in range(24):
+        m = rng.randint(2, 24)
+        c = [0] * m + [1]  # ascending, monic
+        for k in rng.sample(range(m), rng.randint(1, min(m, 4))):
+            c[k] = rng.randint(-10**6, 10**6)
+        polys.append(tuple(c))
+    return polys
+
+
+sparse_polys = st.integers(2, 24).flatmap(
+    lambda m: st.dictionaries(st.integers(0, m - 1), st.integers(-10**6, 10**6), max_size=4).map(
+        lambda c: MonicPolynomial(tuple(c.get(i, 0) for i in range(m)))
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(
+            lambda roots: from_coefficients(_from_roots(roots))
+        ),
+        small_polys,
+        sparse_polys,
+    )
+)
+def test_scan_from_the_root_bound_ends_where_the_scan_from_b_ends(p):
+    # p > 0 on every grid point above the bound, so the scan that starts
+    # there returns what the scan from B returns, to the last bit
+    got = oracle_largest_real_root(p, TOL)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_root_bound", _cauchy_bound)
+        assert oracle_largest_real_root(p, TOL) == got
+
+
+@pytest.mark.parametrize("coeffs", _oracle_sample() + _close_pair_sample() + _sparse_sample(),
+                         ids=str)
+def test_root_bound_is_above_every_real_root(coeffs):
+    # sympy counts the roots in [bound, oo) on its own; one there must be
+    # the bound itself, which only a bound of 0 can be
+    sympy = pytest.importorskip("sympy")
+    bound = _root_bound(from_coefficients(coeffs))
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
+    at = sympy.Rational(bound.numerator, bound.denominator)
+    assert 0 <= bound <= _cauchy_bound(from_coefficients(coeffs))
+    assert poly.count_roots(at) == (poly.eval(at) == 0)
+
+
+def test_root_bound_pins():
+    # no negative coefficient: no positive root, and the bound is 0
+    assert _root_bound(parse_polynomial("x^2 + 3x + 1")) == 0
+    # (x-100)(x-101): 2 * 201 / 1, where B = 10101
+    assert 402 <= _root_bound(parse_polynomial("x^2 - 201x + 10100")) < 403
+    # x^12 - x - 1: 4^(1/12) on the second use of x^12, rounded up
+    assert 1.1224 < _root_bound(parse_polynomial("x^12 - x - 1")) < 1.1226
+    # (x-3)^2 (x+1): 2 * 5 = 10 is B itself
+    p = parse_polynomial("x^3 - 5x^2 + 3x + 9")
+    assert _root_bound(p) == _cauchy_bound(p) == 10
 
 
 @settings(max_examples=200)
