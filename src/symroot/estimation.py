@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
-from operator import index, or_, truediv
+from operator import index, or_
 
 from .counting import CountVector, _step
 from .errors import DegreeTooSmallError, InvalidOptionError
@@ -323,27 +323,33 @@ def _settled(prev: tuple[int, ...] | None, cur: tuple[int, ...], tol: Fraction) 
     )
 
 
-def _float_ratios(n: tuple[int, ...]) -> list[float] | None:
-    # n[j-1] / n[j] for each j from the top bits; None on a zero denominator
-    # or past the double range. Every count shifts right by one amount s, so
-    # that the shortest keeps 64 bits (no shift if a count is 0), and int /
-    # int rounds the quotient correctly. A count c of 64 bits or more has
-    # |(c >> s) - c/2^s| < 1 <= 2^-63 |c/2^s| (>> floors, for either sign),
-    # and (1 + e)/(1 + f) with |e|, |f| < 2^-63 is within 2^-62 (1 + 2^-62)
-    # of 1. So each float is within 2^-53 relative, or 2^-1075 absolute if
-    # subnormal, of a quotient within 2^-61 relative of the exact ratio;
-    # _certainly_apart's margin covers both. Shorter counts, the common case
-    # once _iterate strips powers of two, are divided exactly, each float the
-    # correctly rounded ratio. Only the filters read these.
-    # A list: tuple() of an iterator resizes its result, and one such tuple
-    # per step fills a CPython tuple free list, memory kept for good
-    s = min(map(int.bit_length, n)) - 64
+def _top_ratio(a: int, b: int) -> float | None:
+    # a / b from the top bits; None if b = 0 or past the double range. Both
+    # counts shift right by one amount s, so that the shorter keeps 64 bits
+    # (no shift if either is shorter, or 0), and int / int rounds the
+    # quotient correctly. A count c of 64 bits or more has |(c >> s) - c/2^s|
+    # < 1 <= 2^-63 |c/2^s| (>> floors, for either sign), and (1 + e)/(1 + f)
+    # with |e|, |f| < 2^-63 is within 2^-62 (1 + 2^-62) of 1. So the float is
+    # within 2^-53 relative, or 2^-1075 absolute if subnormal, of a quotient
+    # within 2^-61 relative of a / b; _certainly_apart's margin covers both.
+    # Shorter counts, the common case once _iterate strips powers of two, are
+    # divided exactly, the float the correctly rounded ratio. Only the
+    # filters read these
+    s = min(a.bit_length(), b.bit_length()) - 64
     if s > 0:
-        n = [x >> s for x in n]
+        a, b = a >> s, b >> s
     try:
-        return [*map(truediv, n, n[1:])]
+        return a / b
     except (ZeroDivisionError, OverflowError):
         return None
+
+
+def _float_ratios(n: tuple[int, ...]) -> list[float] | None:
+    # n[j-1] / n[j] for each j by _top_ratio; None if any is None. A list:
+    # tuple() of an iterator resizes its result, and such tuples, one per
+    # step the float x_k leaves open, fill a CPython tuple free list
+    f = [*map(_top_ratio, n, n[1:])]
+    return None if None in f else f
 
 
 def _float_tol(tol: Fraction) -> float:
@@ -358,7 +364,7 @@ def _float_tol(tol: Fraction) -> float:
 
 def _certainly_apart(x: float, y: float, tol_f: float) -> bool:
     # True only if the exact ratios X, Y behind x, y have |X - Y| > tol.
-    # Let u = 2^-53 and S = |x| + |y|. By _float_ratios, truncation and
+    # Let u = 2^-53 and S = |x| + |y|. By _top_ratio, truncation and
     # rounding put x within (u + 2^-61)|X| + 2^-1074 of X, and y likewise,
     # so |X - Y| >= |x - y| - 1.01 u S - 2^-1072. Each operation below rounds
     # by at most u relative (2^-1075 absolute if subnormal), so when the test
@@ -385,22 +391,9 @@ def _certainly_unsettled(prev_f: list[float], cur_f: list[float], tol_f: float) 
     )
 
 
-def _certainly_not_proportional(u_f: list[float] | None, v_f: list[float] | None) -> bool:
-    # proportional counts have equal exact ratios, so one pair certainly
-    # apart at tol 0 rules a revisit out; their top-bit floats need not be
-    # equal. A None side (zero denominator or overflow) rules nothing out.
-    # A plain loop, pair 0 first: most filed visits fall to their first pair
-    if u_f is None or v_f is None:
-        return False
-    for x, y in zip(u_f, v_f):
-        if _certainly_apart(x, y, 0.0):
-            return True
-    return False
-
-
 def _proportional(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    # v = c u for some nonzero c, both nonzero and with the same zero
-    # pattern: cross-multiply against the first nonzero entry of u, no gcd
+    # v = c u for some nonzero c, both nonzero: cross-multiply against the
+    # first nonzero entry of u, no gcd (v is nonzero, so c is too)
     i = next(i for i, x in enumerate(u) if x != 0)
     return all(v[i] * x == u[i] * y for x, y in zip(u, v))
 
@@ -411,31 +404,34 @@ def _iterate(
     # the count iteration of a degree >= 2 polynomial from the counts n,
     # until one stop rule fires; returns (status, iterations_used, last
     # counts) and keeps no history, which History replays from v_0 on demand.
-    # Every rule decides exactly on the counts; the float ratios only skip
-    # exact tests whose answer they already know. The loop carries
-    # v_k / 2^shift, v_k over the common power of two of its counts, and
-    # hands back the raw v_k once, on return. No decision changes: the step
-    # is linear; _profile_agrees, _settled and _proportional compare ratios or
-    # cross-multiply within one vector, so each is blind to its scale; and the
-    # float filters' proof in _float_ratios holds for any integer vector (the
-    # floats of v and v / 2^s are even equal). When R = I + C(p) is nilpotent
-    # mod 2, as when p = (x+1)^m mod 2, the counts gain a factor 2 at least
-    # every m steps: (x-3)^2 (x+1) gains 2 bits a step, and by step 20000
-    # 39996 of its 40014 bits are the common power of two
+    # Every rule decides exactly on the counts; floats only skip exact tests
+    # whose answer they already know. Each step reads one float, x_k ~ n_1/n_2
+    # by _top_ratio. The settle rule needs pair 0 within tol, so x_(k-1) and
+    # x_k certainly apart rule it out; only the steps they cannot decide
+    # build the full float profiles for _certainly_unsettled, then _settled.
+    # The loop carries v_k / 2^shift, v_k over the common power of two of its
+    # counts, and hands back the raw v_k once, on return. No decision
+    # changes: the step is linear; _profile_agrees, _settled and _proportional
+    # compare ratios or cross-multiply within one vector, so each is blind to
+    # its scale; and the floats of v and v / 2^s are equal. When R = I + C(p)
+    # is nilpotent mod 2, as when p = (x+1)^m mod 2, the counts gain a factor
+    # 2 at least every m steps: (x-3)^2 (x+1) gains 2 bits a step, and by
+    # step 20000 39996 of its 40014 bits are the common power of two
     a, m = p.a, p.degree
     tol_f = _float_tol(tol)
-    # first visits of v_0 .. v_m only, as (counts, float ratios, k), one per
-    # direction, filed by zero pattern (as bytes, for the reason the float
-    # ratios are a list), which proportional counts share. From k = m on, v_k
-    # lies in im(R^m), on which R is invertible
-    # (R^m kills R's generalized kernel); so if v_k is proportional to v_j for
-    # j < k with j > m, then v_(k-1) was proportional to v_(j-1), an earlier
-    # revisit. The first revisit therefore returns to one of v_0 .. v_m, the
-    # sequence of directions is periodic from there on, and the cycle rule
-    # fires at the same k as it would with every direction kept
-    visits: dict[bytes, list[tuple[tuple[int, ...], list[float] | None, int]]] = {}
+    # first visits of v_0 .. v_m only, as (counts, x, k). From k = m on, v_k
+    # lies in im(R^m), on which R is invertible (R^m kills R's generalized
+    # kernel); so if v_k is proportional to v_j for j < k with j > m, then
+    # v_(k-1) was proportional to v_(j-1), an earlier revisit. The first
+    # revisit therefore returns to one of v_0 .. v_m, the sequence of
+    # directions is periodic from there on, and the cycle rule fires at the
+    # same k as it would with every direction kept. Proportional counts have
+    # the same zero entries and equal exact ratios, so a visit whose n_2 alone
+    # is zero, or whose x is certainly apart from x_k at tol 0, is none; a
+    # None x (zero n_2 or overflow) rules nothing out
+    visits: list[tuple[tuple[int, ...], float | None, int]] = []
     prev: tuple[int, ...] | None = None
-    prev_f: list[float] | None = None
+    x_prev: float | None = None
     k = shift = 0
     while True:
         if not any(n):
@@ -447,20 +443,24 @@ def _iterate(
             if s:
                 n = tuple(x >> s for x in n)
                 shift += s
-        cur_f = _float_ratios(n)
-        filtered = prev_f and cur_f and _certainly_unsettled(prev_f, cur_f, tol_f)
-        if not filtered and _settled(prev, n, tol):
-            status = Status.CONVERGED
-            break
-        nonzero = bytes(map(bool, n))
+        x = _top_ratio(n[0], n[1])
+        if x is None or x_prev is None or not _certainly_apart(x_prev, x, tol_f):
+            prev_f = prev and _float_ratios(prev)
+            cur_f = prev_f and _float_ratios(n)
+            if not (cur_f and _certainly_unsettled(prev_f, cur_f, tol_f)) and _settled(prev, n, tol):
+                status = Status.CONVERGED
+                break
+        zero = n[1] == 0
         first_seen = None
-        for u, u_f, j in visits.get(nonzero, ()):
-            if not _certainly_not_proportional(u_f, cur_f) and _proportional(u, n):
+        for u, x_u, j in visits:
+            if (u[1] == 0) == zero and (
+                x is None or x_u is None or not _certainly_apart(x_u, x, 0.0)
+            ) and _proportional(u, n):
                 first_seen = j
                 break
         if first_seen is None:
             if k <= m:
-                visits.setdefault(nonzero, []).append((n, cur_f, k))
+                visits.append((n, x, k))
         elif k - first_seen >= 2:
             # the direction sequence is exactly periodic, so the ratios can
             # never settle; calling it now saves waiting out max_iters
@@ -469,7 +469,7 @@ def _iterate(
         if k == max_iters:
             status = Status.MAX_ITERATIONS_REACHED
             break
-        prev, prev_f = n, cur_f
+        prev, x_prev = n, x
         k += 1
         n = _step(a, n)
     return status, k, tuple(x << shift for x in n)

@@ -32,7 +32,7 @@ from symroot.errors import DegreeTooSmallError, InvalidOptionError, SymrootError
 from symroot.estimation import (
     _below,
     _cauchy_bound,
-    _certainly_not_proportional,
+    _certainly_apart,
     _certainly_unsettled,
     _float_ratios,
     _float_tol,
@@ -44,6 +44,7 @@ from symroot.estimation import (
     _settled,
     _sturm_sequence,
     _top_below,
+    _top_ratio,
     _top_within,
     _within,
 )
@@ -667,18 +668,25 @@ def boundary_vectors(draw):
 @settings(max_examples=400, deadline=None)
 @given(boundary_vectors())
 def test_float_filter_never_overrides_the_exact_settle_rule(case):
+    # settled counts: neither x_k = n_1/n_2 of the two sides nor their full
+    # float profiles are certainly more than tol apart
     u, w, tol = case
     tol_f = _float_tol(tol)
     uf, wf = _float_ratios(u), _float_ratios(w)
+    xu, xw = _top_ratio(u[0], u[1]), _top_ratio(w[0], w[1])
     if _settled(u, w, tol):
         assert not (uf and wf and _certainly_unsettled(uf, wf, tol_f))
+        assert not (xu is not None and xw is not None and _certainly_apart(xu, xw, tol_f))
     # the cycle prefilter needs only this of proportional counts: the same
-    # zero pattern, and no ratio pair certainly apart at tol 0 (their
-    # top-bit floats may differ)
+    # zero pattern (n_2's zero-ness included), and no ratio pair certainly
+    # apart at tol 0, x_k included (their top-bit floats may differ)
     for c in (-7, 3**200 + 1):
         v = tuple(c * x for x in u)
         assert list(map(bool, v)) == list(map(bool, u))
-        assert not _certainly_not_proportional(_float_ratios(v), uf)
+        assert (v[1] == 0) == (u[1] == 0)
+        vf, xv = _float_ratios(v), _top_ratio(v[0], v[1])
+        assert not (vf and uf and any(_certainly_apart(x, y, 0.0) for x, y in zip(vf, uf)))
+        assert not (xv is not None and xu is not None and _certainly_apart(xv, xu, 0.0))
 
 
 def _full_width_settled(u, w, tol):
@@ -759,6 +767,28 @@ def test_top_bit_ratios_stay_within_the_proved_bound(n):
     rel, tiny = Fraction(1, 2**53) + Fraction(1, 2**61), Fraction(1, 2**1074)
     for x, want in zip(f, exact):
         assert abs(Fraction(x) - want) <= rel * abs(want) + tiny
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_counts())
+def test_top_ratio_stays_within_the_proved_bound(n):
+    # x_k = _top_ratio(n_1, n_2) by the same shift rule, pair by pair, for
+    # counts of unrelated sizes too: None exactly on a zero n_2 or past the
+    # double range, otherwise within (2^-53 + 2^-61)|X| + 2^-1074 of X
+    rel, tiny = Fraction(1, 2**53) + Fraction(1, 2**61), Fraction(1, 2**1074)
+    for a, b in zip(n, n[1:]):
+        x = _top_ratio(a, b)
+        if b == 0:
+            assert x is None
+            continue
+        want = Fraction(a, b)
+        if x is None:
+            assert abs(want) > 2**1023
+        else:
+            assert abs(Fraction(x) - want) <= rel * abs(want) + tiny
+        if min(a.bit_length(), b.bit_length()) <= 64:
+            # divided exactly: the correctly rounded ratio, or None past it
+            assert x == estimation._json_float(want)
 
 
 def test_cycle_rule_fires_when_one_side_overflows():
@@ -1009,6 +1039,51 @@ def test_stripped_loop_matches_the_raw_counts(t, start, max_iters, tol):
     p = _x_plus_1_mod_2(len(t), t)
     v0 = None if start is None else CountVector(tuple(x << start[0] for x in start[1][: p.degree]))
     _check_raw_counts(p, v0, max_iters, tol)
+
+
+@st.composite
+def wide_starts(draw, m):
+    # counts of 0 to 1100 bits each, either sign, n_2 zero or not: x_k is
+    # None on a zero n_2 and overflows when n_1 is far longer than n_2
+    n = [draw(st.integers(0, 1100).flatmap(lambda b: st.integers(-(2**b), 2**b))) for _ in range(m)]
+    if draw(st.booleans()):
+        n[1] = 0
+    return CountVector(tuple(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=4).flatmap(
+        lambda a: st.tuples(st.just(MonicPolynomial(tuple(a))), wide_starts(len(a)))
+    ),
+    st.integers(1, 40),
+    st.sampled_from((TOL, Fraction(1, 1000), Fraction(1), Fraction(10**400))),
+)
+def test_loop_matches_the_references_where_x_k_is_none(start, max_iters, tol):
+    # the starts and tols where x_k is None or overflows: status, k and raw
+    # counts match the rule that keeps every direction and the eager replay
+    p, v0 = start
+    _check_raw_counts(p, v0, max_iters, tol)
+
+
+# SHA-256 of _iterate's (status, k, raw counts) from e_1 for every
+# a in [-3, 3]^m with a_m != 0, m in {2, 3}: budget 256 at four tols, and
+# 3000 at 10^-12. Computed on commit 492d351, whose loop read every float
+# ratio and filed first visits by zero pattern, before x_k decided the filters
+LOOP_RUNS = [(256, TOL), (256, Fraction(1, 1000)), (256, Fraction(1)), (256, Fraction(10**400)), (3000, TOL)]
+LOOP_SHA256 = "c6d9e620fdada27a6693ccf5dfabc49f78a0c8878eb0a719afa8912656d8a21d"
+
+
+def test_loop_outcomes_pinned():
+    h = hashlib.sha256()
+    for m in (2, 3):
+        for a in itertools.product(range(-3, 4), repeat=m):
+            if a[-1]:
+                p = MonicPolynomial(a)
+                for max_iters, tol in LOOP_RUNS:
+                    status, k, n = _iterate(p, CountVector.unit(m).n, max_iters, tol)
+                    h.update(f"{status.value} {k} {n}\n".encode())
+    assert h.hexdigest() == LOOP_SHA256
 
 
 def test_stripped_loop_returns_the_raw_counts_of_a_deep_run():
