@@ -3,9 +3,10 @@
 Exit codes: 0 converged (and the oracle, when consulted, agrees), 1 a verify
 check found a counterexample, 2 the ratios did not settle (NoRealLimit,
 MaxIterationsReached, DegenerateStart), 3 bad input or options, 4 converged
-but the Sturm counts could not show that the oracle's largest real root is
-the real root nearest the estimate, 5 trace/verify hit the word-length cap,
-141 the reader of stdout closed it early (128 + SIGPIPE).
+but the oracle found no real root, or the Sturm counts could not show that
+its largest real root is the real root nearest the estimate, 5 trace/verify
+hit the word-length cap, 141 the reader of stdout closed it early (128 +
+SIGPIPE).
 """
 
 from __future__ import annotations
@@ -174,6 +175,9 @@ def _print_table(report: ConvergenceReport) -> None:
         print(f"oracle largest real root: {_float_text(report.oracle_root)}")
         answer = "yes" if report.oracle_agreement else "NO"
         print(f"oracle agreement: {answer} (discrepancy {_float_text(report.oracle_discrepancy)})")
+    elif report.oracle_agreement is False:  # consulted, and found no real root
+        print("oracle largest real root: none")
+        print("oracle agreement: NO (no real root)")
 
 
 def _print_tsv(report: ConvergenceReport) -> None:

@@ -146,7 +146,9 @@ class ConvergenceReport(FrozenValue):
     farther. False means another real root is at least as near, or 64
     halvings of that window could not show that none is. A discrepancy above
     tol alone is no disagreement, since the settle rule bounds the last step,
-    not the distance to the root. The CLI exits 4 when the agreement is False.
+    not the distance to the root. A consulted oracle that finds no real root
+    leaves oracle_root None and the agreement False. The CLI exits 4 when the
+    agreement is False.
     """
 
     __slots__ = _fields = ("polynomial", "status", "iterations_used", "history", "final_estimate",
@@ -190,8 +192,10 @@ class ConvergenceReport(FrozenValue):
                 "float": _json_float(self.final_estimate),
             }
         oracle = None
-        if self.oracle_root is not None:
-            oracle = {"float": _json_float(self.oracle_root), "agrees": self.oracle_agreement}
+        if self.oracle_agreement is not None:
+            root = self.oracle_root  # None: the oracle found no real root
+            root_f = None if root is None else _json_float(root)
+            oracle = {"float": root_f, "agrees": self.oracle_agreement}
         return {
             "polynomial": {
                 "degree": self.polynomial.degree,
@@ -334,7 +338,7 @@ def _top_ratio(a: int, b: int) -> float | None:
     # within 2^-61 relative of a / b; _certainly_apart's margin covers both.
     # Shorter counts, the common case once _iterate strips powers of two, are
     # divided exactly, the float the correctly rounded ratio. Only the
-    # filters read these
+    # loop's filters read it
     s = min(a.bit_length(), b.bit_length()) - 64
     if s > 0:
         a, b = a >> s, b >> s
@@ -342,14 +346,6 @@ def _top_ratio(a: int, b: int) -> float | None:
         return a / b
     except (ZeroDivisionError, OverflowError):
         return None
-
-
-def _float_ratios(n: tuple[int, ...]) -> list[float] | None:
-    # n[j-1] / n[j] for each j by _top_ratio; None if any is None. A list:
-    # tuple() of an iterator resizes its result, and such tuples, one per
-    # step the float x_k leaves open, fill a CPython tuple free list
-    f = [*map(_top_ratio, n, n[1:])]
-    return None if None in f else f
 
 
 def _float_tol(tol: Fraction) -> float:
@@ -377,20 +373,6 @@ def _certainly_apart(x: float, y: float, tol_f: float) -> bool:
     return abs(x - y) > tol_f + 2**-50 * (abs(x) + abs(y)) + 2**-1000
 
 
-def _certainly_unsettled(prev_f: list[float], cur_f: list[float], tol_f: float) -> bool:
-    # some pair that _settled compares is certainly more than tol apart:
-    # ratio j of prev and of cur, or two ratios within one profile, where the
-    # extremes are enough: |x - y| - 2^-50 (|x| + |y|) grows as x, y part.
-    # A plain loop, pair 0 first: a slow run's first pair is certainly apart
-    # on nearly every step before it settles
-    for x, y in zip(prev_f, cur_f):
-        if _certainly_apart(x, y, tol_f):
-            return True
-    return _certainly_apart(min(prev_f), max(prev_f), tol_f) or _certainly_apart(
-        min(cur_f), max(cur_f), tol_f
-    )
-
-
 def _proportional(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     # v = c u for some nonzero c, both nonzero: cross-multiply against the
     # first nonzero entry of u, no gcd (v is nonzero, so c is too)
@@ -408,15 +390,15 @@ def _iterate(
     # whose answer they already know. Each step reads one float, x_k ~ n_1/n_2
     # by _top_ratio. The settle rule needs pair 0 within tol, so x_(k-1) and
     # x_k certainly apart rule it out; only the steps they cannot decide
-    # build the full float profiles for _certainly_unsettled, then _settled.
-    # The loop carries v_k / 2^shift, v_k over the common power of two of its
-    # counts, and hands back the raw v_k once, on return. No decision
-    # changes: the step is linear; _profile_agrees, _settled and _proportional
-    # compare ratios or cross-multiply within one vector, so each is blind to
-    # its scale; and the floats of v and v / 2^s are equal. When R = I + C(p)
-    # is nilpotent mod 2, as when p = (x+1)^m mod 2, the counts gain a factor
-    # 2 at least every m steps: (x-3)^2 (x+1) gains 2 bits a step, and by
-    # step 20000 39996 of its 40014 bits are the common power of two
+    # reach _settled, which decides on the counts. The loop carries v_k /
+    # 2^shift, v_k over the common power of two of its counts, and hands back
+    # the raw v_k once, on return. No decision changes: the step is linear;
+    # _profile_agrees, _settled and _proportional compare ratios or
+    # cross-multiply within one vector, so each is blind to its scale; and
+    # the floats of v and v / 2^s are equal. When R = I + C(p) is nilpotent
+    # mod 2, as when p = (x+1)^m mod 2, the counts gain a factor 2 at least
+    # every m steps: (x-3)^2 (x+1) gains 2 bits a step, and by step 20000
+    # 39996 of its 40014 bits are the common power of two
     a, m = p.a, p.degree
     tol_f = _float_tol(tol)
     # first visits of v_0 .. v_m only, as (counts, x, k). From k = m on, v_k
@@ -445,9 +427,7 @@ def _iterate(
                 shift += s
         x = _top_ratio(n[0], n[1])
         if x is None or x_prev is None or not _certainly_apart(x_prev, x, tol_f):
-            prev_f = prev and _float_ratios(prev)
-            cur_f = prev_f and _float_ratios(n)
-            if not (cur_f and _certainly_unsettled(prev_f, cur_f, tol_f)) and _settled(prev, n, tol):
+            if _settled(prev, n, tol):
                 status = Status.CONVERGED
                 break
         zero = n[1] == 0
@@ -524,6 +504,7 @@ def estimate_root(
     if status is Status.CONVERGED and compare_oracle:
         sturm = _sturm_sequence(p)
         oracle_root = _largest_real_root(p, tol, sturm)
+        agreement = False  # with no real root, the estimate has none to agree with
         if oracle_root is not None:
             # the oracle is within tol of the largest real root r, so
             # r <= final + discrepancy + tol

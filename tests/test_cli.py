@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import symroot
 from symroot.cli import main
+from symroot.estimation import _any_int_digits
 
 
 def run_cli(capsys, *argv):
@@ -39,7 +40,8 @@ def assert_report_schema(d: dict) -> None:
         assert isinstance(d["final"]["float"], float)
     if d["oracle"] is not None:
         assert set(d["oracle"]) == {"float", "agrees"}
-        assert isinstance(d["oracle"]["float"], float)
+        # null past the double range, or when the oracle finds no real root
+        assert d["oracle"]["float"] is None or isinstance(d["oracle"]["float"], float)
         assert isinstance(d["oracle"]["agrees"], bool)
     assert isinstance(d["history"], list)
     for row in d["history"]:
@@ -82,6 +84,30 @@ def test_run_json_schema_on_failure_paths(capsys):
     assert d["status"] == "NoRealLimit"
     assert d["final"] is None
     assert d["oracle"] is None
+
+
+def test_run_flags_a_converged_run_with_no_real_root(capsys):
+    # x^2 + 1 settles at 0 under a coarse tol, but has no real root for the
+    # estimate to agree with: exit 4, and the output says why
+    argv = ("run", "--poly", "x^2 + 1", "--tol", "1e5")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (4, "")
+    assert out.splitlines()[-5:] == [
+        "status: Converged",
+        "iterations: 2",
+        "final: 0 = 0/1",
+        "oracle largest real root: none",
+        "oracle agreement: NO (no real root)",
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 4
+    d = parse_json(out)
+    assert_report_schema(d)
+    assert d["status"] == "Converged"
+    assert d["oracle"] == {"float": None, "agrees": False}
+    # without the oracle there is nothing to disagree with
+    code, out, _ = run_cli(capsys, *argv, "--no-oracle", "--format", "json")
+    assert (code, parse_json(out)["oracle"]) == (0, None)
 
 
 def test_run_tsv_rows(capsys):
@@ -305,6 +331,18 @@ def test_tol_passes_the_int_digit_limit(capsys):
     assert (code, err) == (2, "")
     assert out.splitlines()[-2:] == ["status: MaxIterationsReached", "iterations: 1"]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_runs_without_the_int_digit_limit_setter(monkeypatch, capsys):
+    # Pythons 3.10.0-3.10.6 have no sys.set_int_max_str_digits and no limit:
+    # the lift must then do nothing, and a run still exit 0
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    with _any_int_digits():
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert main(["run", "--poly", "x^2 - x - 1"]) == 0
+    assert main(["run", "--poly", "x^2 - x - 1", "--format", "json"]) == 0
+    assert "oracle agreement: yes" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "tsv"])
