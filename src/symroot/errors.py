@@ -47,7 +47,10 @@ class ZeroDegreeError(SymrootError):
 
 
 class EmptyInputError(SymrootError):
-    """Raised when polynomial text contains no terms at all."""
+    """Raised when from_coefficients gets an empty coefficient sequence.
+
+    Empty polynomial text raises PolynomialSyntaxError instead.
+    """
 
 
 class DegreeTooSmallError(SymrootError):

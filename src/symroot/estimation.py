@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import accumulate, islice
 from operator import index, or_
 
 from .counting import CountVector, _step
@@ -338,7 +338,7 @@ def _top_ratio(a: int, b: int) -> float | None:
     # within 2^-61 relative of a / b; _certainly_apart's margin covers both.
     # Shorter counts, the common case once _iterate strips powers of two, are
     # divided exactly, the float the correctly rounded ratio. Only the
-    # loop's filters read it
+    # loop's settle filter reads it
     s = min(a.bit_length(), b.bit_length()) - 64
     if s > 0:
         a, b = a >> s, b >> s
@@ -373,47 +373,45 @@ def _certainly_apart(x: float, y: float, tol_f: float) -> bool:
     return abs(x - y) > tol_f + 2**-50 * (abs(x) + abs(y)) + 2**-1000
 
 
-def _proportional(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    # v = c u for some nonzero c, both nonzero: cross-multiply against the
-    # first nonzero entry of u, no gcd (v is nonzero, so c is too)
-    i = next(i for i, x in enumerate(u) if x != 0)
-    return all(v[i] * x == u[i] * y for x, y in zip(u, v))
-
-
 def _iterate(
-    p: MonicPolynomial, n: tuple[int, ...], max_iters: int, tol: Fraction
+    p: MonicPolynomial, max_iters: int, tol: Fraction
 ) -> tuple[Status, int, tuple[int, ...]]:
-    # the count iteration of a degree >= 2 polynomial from the counts n,
-    # until one stop rule fires; returns (status, iterations_used, last
-    # counts) and keeps no history, which History replays from v_0 on demand.
-    # Every rule decides exactly on the counts; floats only skip exact tests
-    # whose answer they already know. Each step reads one float, x_k ~ n_1/n_2
-    # by _top_ratio. The settle rule needs pair 0 within tol, so x_(k-1) and
-    # x_k certainly apart rule it out; only the steps they cannot decide
-    # reach _settled, which decides on the counts. The loop carries v_k /
-    # 2^shift, v_k over the common power of two of its counts, and hands back
-    # the raw v_k once, on return. No decision changes: the step is linear;
-    # _profile_agrees, _settled and _proportional compare ratios or
-    # cross-multiply within one vector, so each is blind to its scale; and
-    # the floats of v and v / 2^s are equal. When R = I + C(p) is nilpotent
-    # mod 2, as when p = (x+1)^m mod 2, the counts gain a factor 2 at least
-    # every m steps: (x-3)^2 (x+1) gains 2 bits a step, and by step 20000
-    # 39996 of its 40014 bits are the common power of two
+    # the count iteration of a degree >= 2 polynomial from v_0 = e_1, the
+    # counts of the word 1+, until one stop rule fires; returns (status,
+    # iterations_used, last counts) and keeps no history, which History
+    # replays from v_0 on demand. Every rule decides exactly on the counts;
+    # a float only skips settle tests whose answer it already knows. Each
+    # step reads one float, x_k ~ n_1/n_2 by _top_ratio. The settle rule
+    # needs pair 0 within tol, so x_(k-1) and x_k certainly apart rule it
+    # out; only the steps they cannot decide reach _settled, which decides
+    # on the counts. The loop carries v_k / 2^shift, v_k over the common
+    # power of two of its counts, and hands back the raw v_k once, on
+    # return. No decision changes: the step is linear; _profile_agrees,
+    # _settled and the cycle rule's identity compare ratios or are
+    # homogeneous in v_k, so each is blind to its scale; and the floats of v
+    # and v / 2^t are equal. When R = I + C(p) is nilpotent mod 2, as when
+    # p = (x+1)^m mod 2, the counts gain a factor 2 at least every m steps:
+    # (x-3)^2 (x+1) gains 2 bits a step, and by step 20000 39996 of its
+    # 40014 bits are the common power of two
     a, m = p.a, p.degree
+    n = CountVector.unit(m).n
     tol_f = _float_tol(tol)
-    # first visits of v_0 .. v_m only, as (counts, x, k). From k = m on, v_k
-    # lies in im(R^m), on which R is invertible (R^m kills R's generalized
-    # kernel); so if v_k is proportional to v_j for j < k with j > m, then
-    # v_(k-1) was proportional to v_(j-1), an earlier revisit. The first
-    # revisit therefore returns to one of v_0 .. v_m, the sequence of
-    # directions is periodic from there on, and the cycle rule fires at the
-    # same k as it would with every direction kept. Proportional counts have
-    # the same zero entries and equal exact ratios, so a visit whose n_2 alone
-    # is zero, or whose x is certainly apart from x_k at tol 0, is none; a
-    # None x (zero n_2 or overflow) rules nothing out
-    visits: list[tuple[tuple[int, ...], float | None, int]] = []
-    prev: tuple[int, ...] | None = None
-    x_prev: float | None = None
+    # the cycle rule compares v_k with one vector, v_s. v_k = R^k e_1, and
+    # e_1 is a cyclic vector of R, so its minimal polynomial is q(mu) =
+    # p(mu - 1) = mu^s q'(mu), q'(0) != 0: s is the multiplicity of -1 as a
+    # root of p, found by synthetic division of [1, -a_1, ..., -a_m] by x + 1.
+    # v_k = c v_u (u < k, c != 0) holds exactly when q divides
+    # mu^u (mu^d - c), d = k - u: when u >= s and q' divides mu^d - c. Then
+    # v_(s+d) = c v_s too, so the first revisit with d >= 2, where a rule
+    # that kept every direction would fire, is to v_s. v_s has n_(s+1) = 1,
+    # an odd count that no strip touches, and zeros after it, so v_k is
+    # proportional to v_s exactly when v_k = n_(s+1) v_s, which entry s - 1
+    # tests first; for s = 0 that is n_m, where e_1 is 0, so the pretest
+    # reads n_m == 0
+    c, s = [1, *(-x for x in a)], 0
+    while not (c := list(accumulate(c, lambda b, x: x - b)))[-1]:
+        c, s = c[:-1], s + 1
+    prev = x_prev = v_s = None
     k = shift = 0
     while True:
         if not any(n):
@@ -421,27 +419,18 @@ def _iterate(
             break
         if k % _STRIP_EVERY == 0:
             z = reduce(or_, n)
-            s = (z & -z).bit_length() - 1
-            if s:
-                n = tuple(x >> s for x in n)
-                shift += s
+            t = (z & -z).bit_length() - 1
+            if t:
+                n = tuple(x >> t for x in n)
+                shift += t
         x = _top_ratio(n[0], n[1])
         if x is None or x_prev is None or not _certainly_apart(x_prev, x, tol_f):
             if _settled(prev, n, tol):
                 status = Status.CONVERGED
                 break
-        zero = n[1] == 0
-        first_seen = None
-        for u, x_u, j in visits:
-            if (u[1] == 0) == zero and (
-                x is None or x_u is None or not _certainly_apart(x_u, x, 0.0)
-            ) and _proportional(u, n):
-                first_seen = j
-                break
-        if first_seen is None:
-            if k <= m:
-                visits.append((n, x, k))
-        elif k - first_seen >= 2:
+        if k == s:
+            v_s = n
+        elif k > s + 1 and n[s - 1] == n[s] * v_s[s - 1] and n == tuple(n[s] * y for y in v_s):
             # the direction sequence is exactly periodic, so the ratios can
             # never settle; calling it now saves waiting out max_iters
             status = Status.NO_REAL_LIMIT
@@ -456,8 +445,11 @@ def _iterate(
 
 
 def _positive(x, name: str) -> Fraction:
-    # x as a Fraction above 0; InvalidOptionError otherwise, inf, nan, "1/0" and "x" included
+    # x as a Fraction above 0; InvalidOptionError otherwise, inf, nan, "1/0",
+    # "x" and bools included (Fraction(True) would be 1)
     try:
+        if isinstance(x, bool):
+            raise ValueError
         x = Fraction(x)
     except (ValueError, OverflowError, ZeroDivisionError):
         raise InvalidOptionError(f"{name} must be a finite number, got {x!r}") from None
@@ -493,7 +485,7 @@ def estimate_root(
         final = Fraction(p.a[0])
         note = "degree 1: the root equals a_1 exactly; no ratio iteration needed"
     else:
-        status, iterations_used, n = _iterate(p, CountVector.unit(p.degree).n, max_iters, tol)
+        status, iterations_used, n = _iterate(p, max_iters, tol)
         last = tuple(_estimates(n, iterations_used))
         # a settled direction carries every ratio, so the first is n_1/n_2
         final = last[0].value if status is Status.CONVERGED else None

@@ -1,9 +1,11 @@
 """Exact integer monic polynomials.
 
 Everything downstream works with the form p(x) = x^m - a_1 x^(m-1) - ... - a_m.
-Users hand in ordinary polynomial text or an ascending coefficient list; the
-sign flip into the a_i happens exactly once, here, so no other module ever
-touches coefficient sign conventions.
+Users hand in ordinary polynomial text or an ascending coefficient list, and
+the sign flip into the a_i happens here, on input. Three places in the
+estimation module flip them back to p's own coefficients 1, -a_1, ..., -a_m:
+the Sturm sequence, the root bound and the cycle rule's synthetic division
+by x + 1.
 """
 
 from __future__ import annotations

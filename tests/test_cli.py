@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -194,6 +195,33 @@ def test_run_coeffs_equivalent_to_poly(capsys):
     # a sign and spaces around an entry are allowed
     code3, out3, _ = run_cli(capsys, "run", "--coeffs= -1 , -1 ,+1 ", "--format", "json")
     assert (code1, out1) == (code3, out3)
+
+
+# SHA-256 over the exit code and stdout of each run of CLI_RUNS, in order:
+# the benchmark's corpus in every format, its deep polynomials at 3000
+# iterations, cycles that revisit v_0 (x^2 + 2x + 2, x^2 + x + 1) and v_1
+# (x^4 + 2x^2 - 3), a DegenerateStart, degree 1 and a tol above every root.
+# Computed on commit 859af4d, whose cycle rule still filed first visits
+CLI_CORPUS = [
+    "x^2 - x - 1", "x^3 - x - 1", "x^3 - 2", "x^2 + 3x + 1", "x^2 + 2x + 2",
+    "x^3 - 5x^2 + 3x + 9", "x^12 - x - 1", "x^24 - 3x^23 + x^5 - 7",
+]
+CLI_DEEP = ["x^2 - 201x + 10100", "x^3 - 200x^2 + 9899x + 10100", "x^3 - 5x^2 + 3x + 9", "x^12 - x - 1"]
+CLI_RUNS = (
+    [("--poly", text, "--format", fmt) for fmt in ("table", "json", "tsv") for text in CLI_CORPUS]
+    + [("--poly", text, "--iters", "3000", "--format", "json") for text in CLI_DEEP]
+    + [("--poly", text, "--iters", "60") for text in ("x^2 + 2x + 2", "x^2 + x + 1", "x^4 + 2x^2 - 3")]
+    + [("--poly", "x^2 + 2x + 1"), ("--poly", "x"), ("--poly", "x^2 + 1", "--tol", "1e5")]
+)
+CLI_SHA256 = "578a8837715ad51b4d90eed3b6cabcbc79158cf15af023f97df0796eff2629a5"
+
+
+def test_run_outputs_pinned(capsys):
+    h = hashlib.sha256()
+    for argv in CLI_RUNS:
+        code, out, _ = run_cli(capsys, "run", *argv)
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == CLI_SHA256
 
 
 def test_run_exit_codes():

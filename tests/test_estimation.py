@@ -197,7 +197,7 @@ def test_invalid_options_rejected():
             call(*args, **kwargs)
         assert isinstance(caught.value, SymrootError) and isinstance(caught.value, ValueError)
 
-    for bad in (0, -1, math.inf, -math.inf, math.nan, "1/0", "inf", "x"):
+    for bad in (0, -1, math.inf, -math.inf, math.nan, "1/0", "inf", "x", True):
         rejected(estimate_root, GOLDEN, tol=bad)
         rejected(oracle_largest_real_root, GOLDEN, bad)
     for bad in (0, -1, 1.0, True, "5"):
@@ -701,16 +701,6 @@ def test_float_filter_never_overrides_the_exact_settle_rule(case):
     xu, xw = _top_ratio(u[0], u[1]), _top_ratio(w[0], w[1])
     if _settled(u, w, tol):
         assert not (xu is not None and xw is not None and _certainly_apart(xu, xw, tol_f))
-    # the cycle prefilter needs only this of proportional counts: the same
-    # zero pattern (n_2's zero-ness included), and no ratio pair certainly
-    # apart at tol 0, x_k included (their top-bit floats may differ)
-    for c in (-7, 3**200 + 1):
-        v = tuple(c * x for x in u)
-        assert list(map(bool, v)) == list(map(bool, u))
-        assert (v[1] == 0) == (u[1] == 0)
-        for j in range(1, len(u)):
-            x, y = _top_ratio(v[j - 1], v[j]), _top_ratio(u[j - 1], u[j])
-            assert not (x is not None and y is not None and _certainly_apart(x, y, 0.0))
 
 
 def _full_width_settled(u, w, tol):
@@ -801,19 +791,23 @@ def test_top_ratio_stays_within_the_proved_bound(n):
             assert x == estimation._json_float(want)
 
 
+def _shifted(q):
+    # p(x) = q(x + 1) for q's ascending integer coefficients, q monic
+    c = [q[-1]]
+    for x in reversed(q[:-1]):
+        c = [x + c[0], *(u + w for u, w in zip(c[1:], c)), c[-1]]
+    return from_coefficients(c)
+
+
 def test_cycle_rule_fires_when_one_side_overflows():
-    # x^2 + 2x + 2 has R^2 = -I, so v_2 = -v_0 and the cycle rule fires at
-    # k = 2. Here v_0's ratio sits just below the double range: the top bits
-    # of v_0 give a quotient past it (None) and those of -v_0, which floor
-    # the other way, one inside it. None must not rule the revisit out
-    b = 2**100 + 2**37 - 1
-    a = (2**1087 - 2**1033 + 2**1000) << 37
-    v0 = (a, b)
-    assert _top_ratio(a, b) is None
-    assert _top_ratio(-a, -b) is not None
-    assert float(Fraction(a, b)) < math.inf
-    got = _check_against_unbounded_rule(parse_polynomial("x^2 + 2x + 2"), CountVector(v0))
-    assert got == (Status.NO_REAL_LIMIT, 2)
+    # q = mu (mu^2 - r mu + r^2) with r = 2^1100: the roots r e^(+-i pi/3)
+    # of q' give v_4 = -r^3 v_1, so the cycle rule fires at k = 4, where
+    # n_1/n_2 is past the double range and x_4 None
+    r = 2**1100
+    p = _shifted([0, r * r, -r, 1])
+    n = _iterate(p, 60, TOL)[2]
+    assert _top_ratio(n[0], n[1]) is None
+    assert _check_against_unbounded_rule(p) == (Status.NO_REAL_LIMIT, 4)
 
 
 @pytest.mark.parametrize(
@@ -944,79 +938,108 @@ def _unbounded_cycle_rule(p, v, max_iters, tol):
     return Status.MAX_ITERATIONS_REACHED, max_iters
 
 
-def _check_against_unbounded_rule(p, v0, max_iters=60):
-    got = _iterate(p, v0.n, max_iters, TOL)[:2]
-    assert got == _unbounded_cycle_rule(p, v0, max_iters, TOL)
+def _check_against_unbounded_rule(p, max_iters=60):
+    got = _iterate(p, max_iters, TOL)[:2]
+    assert got == _unbounded_cycle_rule(p, CountVector.unit(p.degree), max_iters, TOL)
     return got
 
 
 def test_cycle_memory_bounded_exactly():
-    # R is singular here (p(-1) = 0), so early directions need not recur;
-    # the first revisit still returns to one of d_0 .. d_m: d_7 = d_1
-    p = parse_polynomial("x^4 + 2x^2 - 3")
-    got = _check_against_unbounded_rule(p, CountVector((2, 2, 3, 1)))
+    # R is singular here (p(-1) = 0, s = 1), so v_0 never recurs; the first
+    # revisit returns to v_1, six steps on: d_7 = d_1
+    got = _check_against_unbounded_rule(parse_polynomial("x^4 + 2x^2 - 3"))
     assert got == (Status.NO_REAL_LIMIT, 7)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=2, max_size=6))
+def test_cycle_rule_matches_unbounded_memory(a):
+    _check_against_unbounded_rule(MonicPolynomial(tuple(a)))
+
+
+@functools.cache
+def _cyclotomic(n):
+    # Phi_n's ascending coefficients: mu^n - 1 divided by Phi_d for every
+    # proper divisor d of n, each division exact and from the top
+    c = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            f = _cyclotomic(d)
+            q = [0] * (len(c) - len(f) + 1)
+            for i in reversed(range(len(q))):
+                q[i] = c[i + len(f) - 1]
+                for j, y in enumerate(f):
+                    c[i + j] -= q[i] * y
+            c = q
+    return c
+
+
+@st.composite
+def revisits_to_v_s(draw):
+    # p(x) = q(x + 1) with q = mu^s Phi_n(mu / r) r^phi(n), times mu - c or
+    # not. From e_1, whose minimal polynomial is q, v_k revisits v_s once
+    # q' = q / mu^s divides mu^(k-s) - C, as at k = s + n with no linear
+    # factor, and with one whose root is a root of q' times a root of unity
+    s = draw(st.integers(0, 3))
+    f = _cyclotomic(draw(st.integers(1, 12)))
+    r = draw(st.sampled_from((1, 2, 3, -2)))
+    q = [0] * s + [x * r ** (len(f) - 1 - i) for i, x in enumerate(f)]
+    if draw(st.booleans()):
+        c = draw(st.sampled_from((r, -r, 2 * r, 1, -3)))
+        q = [y - c * x for x, y in zip(q + [0], [0] + q)]
+    assume(len(q) >= 3)
+    return _shifted(q)
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(-3, 3), min_size=2, max_size=4),
-    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-    st.booleans(),
-)
-def test_cycle_rule_matches_unbounded_memory(a, raw, from_e1):
-    p = MonicPolynomial(tuple(a))
-    v0 = CountVector.unit(p.degree) if from_e1 else CountVector(tuple(raw[: p.degree]))
-    _check_against_unbounded_rule(p, v0)
+@given(revisits_to_v_s())
+def test_cycle_rule_matches_unbounded_memory_on_revisits_to_v_s(p):
+    # the coefficient strategies above rarely give p a root at -1, so s >= 1
+    # is drawn here: a rule that compared v_k with v_0 alone would miss these
+    _check_against_unbounded_rule(p)
 
 
-def _check_replayed_history(p, v0, max_iters, tol=TOL):
-    # the loop from v0 (e_1 if None) hands back the raw counts of the eager
-    # iteration; from e_1, estimate_root's replayed history matches the
-    # eager one too. Returns (status, iterations_used, last counts)
-    start = v0 or CountVector.unit(p.degree)
-    status, k, n = _iterate(p, start.n, max_iters, tol)
-    vectors = iterate_counts(iteration_matrix(p), start, k)  # reference: every vector kept
+def _check_replayed_history(p, max_iters, tol=TOL):
+    # the loop from e_1 hands back the raw counts of the eager iteration,
+    # and estimate_root's replayed history matches the eager one too.
+    # Returns (status, iterations_used, last counts)
+    status, k, n = _iterate(p, max_iters, tol)
+    vectors = iterate_counts(iteration_matrix(p), CountVector.unit(p.degree), k)  # every vector kept
     assert n == vectors[-1].n
-    if v0 is None:
-        rep = estimate_root(p, max_iters=max_iters, tol=tol, compare_oracle=False)
-        assert (rep.status, rep.iterations_used) == (status, k)
-        eager = tuple(tuple(ratio_estimates(v, iteration=i)) for i, v in enumerate(vectors))
-        assert tuple(rep.history) == eager
-        assert len(rep.history) == len(eager)
-        assert rep.history[-1] == eager[-1]
-        want = eager[-1][0].value if status is Status.CONVERGED else None
-        assert rep.final_estimate == want
+    rep = estimate_root(p, max_iters=max_iters, tol=tol, compare_oracle=False)
+    assert (rep.status, rep.iterations_used) == (status, k)
+    eager = tuple(tuple(ratio_estimates(v, iteration=i)) for i, v in enumerate(vectors))
+    assert tuple(rep.history) == eager
+    assert len(rep.history) == len(eager)
+    assert rep.history[-1] == eager[-1]
+    want = eager[-1][0].value if status is Status.CONVERGED else None
+    assert rep.final_estimate == want
     return status, k, n
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.integers(-3, 3), min_size=2, max_size=4),
-    st.none() | st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.lists(st.integers(-4, 4), min_size=2, max_size=6),
     st.integers(1, 60),
     st.sampled_from((TOL, Fraction(1, 1000))),
 )
-def test_replayed_history_matches_eager_history(a, raw, max_iters, tol):
-    p = MonicPolynomial(tuple(a))
-    v0 = None if raw is None else CountVector(tuple(raw[: p.degree]))
-    _check_replayed_history(p, v0, max_iters, tol)
+def test_replayed_history_matches_eager_history(a, max_iters, tol):
+    _check_replayed_history(MonicPolynomial(tuple(a)), max_iters, tol)
 
 
 @pytest.mark.parametrize(
-    "text, initial, max_iters, status",
+    "text, max_iters, status",
     [
-        ("x^2 - x - 1", None, 60, Status.CONVERGED),
-        ("x^3 - x - 1", (2, -1, 3), 60, Status.CONVERGED),
-        ("x^2 + x + 1", None, 60, Status.NO_REAL_LIMIT),
-        ("x^3 - x - 1", None, 7, Status.MAX_ITERATIONS_REACHED),
-        ("x^2 + 2x + 1", None, 60, Status.DEGENERATE_START),
-        ("x^2 - x - 1", (0, 0), 60, Status.DEGENERATE_START),
+        ("x^2 - x - 1", 60, Status.CONVERGED),
+        ("x^2 - 3x + 1", 60, Status.CONVERGED),
+        ("x^2 + x + 1", 60, Status.NO_REAL_LIMIT),
+        ("x^3 - x - 1", 7, Status.MAX_ITERATIONS_REACHED),
+        ("x^2 + 2x + 1", 60, Status.DEGENERATE_START),
+        ("x^3 + 3x^2 + 3x + 1", 60, Status.DEGENERATE_START),
     ],
 )
-def test_replayed_history_on_every_status(text, initial, max_iters, status):
-    v0 = None if initial is None else CountVector(initial)
-    assert _check_replayed_history(parse_polynomial(text), v0, max_iters)[0] is status
+def test_replayed_history_on_every_status(text, max_iters, status):
+    assert _check_replayed_history(parse_polynomial(text), max_iters)[0] is status
 
 
 def _x_plus_1_mod_2(m, t):
@@ -1026,54 +1049,46 @@ def _x_plus_1_mod_2(m, t):
     return MonicPolynomial(tuple(math.comb(m, i) % 2 + 2 * t[i - 1] for i in range(1, m + 1)))
 
 
-def _check_raw_counts(p, v0, max_iters, tol=TOL):
+def _check_raw_counts(p, max_iters, tol=TOL):
     # the loop's last counts are raw: they match the eager history and the
     # replay, and its decisions match the rule that keeps every direction
-    got = _check_replayed_history(p, v0, max_iters, tol)
-    v0 = v0 or CountVector.unit(p.degree)
-    assert got[:2] == _unbounded_cycle_rule(p, v0, max_iters, tol)
+    got = _check_replayed_history(p, max_iters, tol)
+    assert got[:2] == _unbounded_cycle_rule(p, CountVector.unit(p.degree), max_iters, tol)
     return got
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.integers(2, 5).flatmap(lambda m: st.lists(st.integers(-2, 2), min_size=m, max_size=m)),
-    st.none() | st.tuples(st.integers(0, 5), st.lists(st.integers(-3, 3), min_size=5, max_size=5)),
+    st.integers(2, 7).flatmap(lambda m: st.lists(st.integers(-2, 2), min_size=m, max_size=m)),
     st.integers(1, 200),
     st.sampled_from((TOL, Fraction(1, 1000))),
 )
-def test_stripped_loop_matches_the_raw_counts(t, start, max_iters, tol):
+def test_stripped_loop_matches_the_raw_counts(t, max_iters, tol):
     # the loop carries the counts over their common power of two, and every
-    # decision and the returned counts match the raw iteration; a start may
-    # carry a common power of two of its own
-    p = _x_plus_1_mod_2(len(t), t)
-    v0 = None if start is None else CountVector(tuple(x << start[0] for x in start[1][: p.degree]))
-    _check_raw_counts(p, v0, max_iters, tol)
+    # decision and the returned counts match the raw iteration
+    _check_raw_counts(_x_plus_1_mod_2(len(t), t), max_iters, tol)
 
 
 @st.composite
-def wide_starts(draw, m):
-    # counts of 0 to 1100 bits each, either sign, n_2 zero or not: x_k is
-    # None on a zero n_2 and overflows when n_1 is far longer than n_2
-    n = [draw(st.integers(0, 1100).flatmap(lambda b: st.integers(-(2**b), 2**b))) for _ in range(m)]
-    if draw(st.booleans()):
-        n[1] = 0
-    return CountVector(tuple(n))
+def wide_polys(draw):
+    # a_1 of 0 to 1100 bits, either sign, or -2, and small a_2 .. a_m: from
+    # e_1, x_k is None where n_2 is zero, as at k = 2 when a_1 = -2, and
+    # where n_1/n_2 overflows, as at k = 1 when |a_1| passes 2^1024
+    a = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=4))
+    a[0] = draw(st.just(-2) | st.integers(0, 1100).flatmap(lambda b: st.integers(-(2**b), 2**b)))
+    return MonicPolynomial(tuple(a))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.integers(-3, 3), min_size=2, max_size=4).flatmap(
-        lambda a: st.tuples(st.just(MonicPolynomial(tuple(a))), wide_starts(len(a)))
-    ),
+    wide_polys(),
     st.integers(1, 40),
     st.sampled_from((TOL, Fraction(1, 1000), Fraction(1), Fraction(10**400))),
 )
-def test_loop_matches_the_references_where_x_k_is_none(start, max_iters, tol):
-    # the starts and tols where x_k is None or overflows: status, k and raw
-    # counts match the rule that keeps every direction and the eager replay
-    p, v0 = start
-    _check_raw_counts(p, v0, max_iters, tol)
+def test_loop_matches_the_references_where_x_k_is_none(p, max_iters, tol):
+    # the polynomials and tols where x_k is None or overflows: status, k and
+    # raw counts match the rule that keeps every direction and the eager replay
+    _check_raw_counts(p, max_iters, tol)
 
 
 # SHA-256 of _iterate's (status, k, raw counts) from e_1 for every
@@ -1091,7 +1106,7 @@ def test_loop_outcomes_pinned():
             if a[-1]:
                 p = MonicPolynomial(a)
                 for max_iters, tol in LOOP_RUNS:
-                    status, k, n = _iterate(p, CountVector.unit(m).n, max_iters, tol)
+                    status, k, n = _iterate(p, max_iters, tol)
                     h.update(f"{status.value} {k} {n}\n".encode())
     assert h.hexdigest() == LOOP_SHA256
 
@@ -1110,10 +1125,12 @@ def test_stripped_loop_returns_the_raw_counts_of_a_deep_run():
 
 
 def test_first_visit_filed_stripped_is_revisited():
-    # x^2 + x + 1 has R^3 = -I: the start (2, 4) is filed as (1, 2) at k = 0,
-    # before k = m, and v_3 = (-2, -4) revisits it
-    got = _check_raw_counts(parse_polynomial("x^2 + x + 1"), CountVector((2, 4)), 60)
-    assert got == (Status.NO_REAL_LIMIT, 3, (-2, -4))
+    # p = (x+1)^64 - 3 2^64 has R^64 = 3 2^64 I, so v_64 = 3 2^64 e_1
+    # revisits v_0 = e_1 (s = 0). The strips at k = 32 and 64 leave the loop
+    # comparing 3 e_1 with v_0, and the raw counts come back
+    p = from_coefficients([math.comb(64, i) - 3 * 2**64 * (i == 0) for i in range(65)])
+    status, k, n = _check_raw_counts(p, 80)
+    assert (status, k, n) == (Status.NO_REAL_LIMIT, 64, (3 * 2**64,) + (0,) * 63)
 
 
 def test_history_is_a_read_only_sequence():
