@@ -26,7 +26,7 @@ from functools import reduce
 from itertools import accumulate, islice
 from operator import index, or_
 
-from .counting import CountVector, _step
+from .counting import CountVector, _stepper
 from .errors import DegreeTooSmallError, InvalidOptionError
 from .polynomial import FrozenValue, MonicPolynomial
 
@@ -103,10 +103,10 @@ class History(FrozenValue, Sequence):
         return self.length
 
     def __iter__(self) -> Iterator[tuple[RatioEstimate, ...]]:
-        a, n = self.p.a, CountVector.unit(self.p.degree).n
+        step, a, n = _stepper(self.p.degree), self.p.a, CountVector.unit(self.p.degree).n
         for k in range(self.length):
             if k:
-                n = _step(a, n)
+                n = step(a, n)
             yield tuple(_estimates(n, k))
 
     def __reversed__(self) -> Iterator[tuple[RatioEstimate, ...]]:
@@ -392,8 +392,10 @@ def _iterate(
     # and v / 2^t are equal. When R = I + C(p) is nilpotent mod 2, as when
     # p = (x+1)^m mod 2, the counts gain a factor 2 at least every m steps:
     # (x-3)^2 (x+1) gains 2 bits a step, and by step 20000 39996 of its
-    # 40014 bits are the common power of two
+    # 40014 bits are the common power of two. The step is the degree's
+    # unrolled kernel from _stepper, fetched once before the loop
     a, m = p.a, p.degree
+    step = _stepper(m)
     n = CountVector.unit(m).n
     tol_f = _float_tol(tol)
     # the cycle rule compares v_k with one vector, v_s. v_k = R^k e_1, and
@@ -407,14 +409,17 @@ def _iterate(
     # an odd count that no strip touches, and zeros after it, so v_k is
     # proportional to v_s exactly when v_k = n_(s+1) v_s, which entry s - 1
     # tests first; for s = 0 that is n_m, where e_1 is 0, so the pretest
-    # reads n_m == 0
+    # reads n_m == 0. The same s decides DegenerateStart with no test of the
+    # counts: v_k = 0 exactly when q divides mu^k, and q has degree m, so
+    # only when q = mu^m, that is s = m, and then first at k = m; the test
+    # stands first in the step, where a zero vector was tested before
     c, s = [1, *(-x for x in a)], 0
     while not (c := list(accumulate(c, lambda b, x: x - b)))[-1]:
         c, s = c[:-1], s + 1
     prev = x_prev = v_s = None
     k = shift = 0
     while True:
-        if not any(n):
+        if k == s == m:
             status = Status.DEGENERATE_START
             break
         if k % _STRIP_EVERY == 0:
@@ -440,7 +445,7 @@ def _iterate(
             break
         prev, x_prev = n, x
         k += 1
-        n = _step(a, n)
+        n = step(a, n)
     return status, k, tuple(x << shift for x in n)
 
 

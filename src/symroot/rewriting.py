@@ -156,8 +156,8 @@ def iterate_words(rule: ReplacementRule, w0, i: int, cap: int = WORD_CAP_DEFAULT
     On overflow the raised error carries the failing depth and the tuple of
     words that were completed before it.
     """
-    if i < 0:
-        raise InvalidOptionError("iteration count must be nonnegative")
+    if isinstance(i, bool) or not isinstance(i, int) or i < 0:
+        raise InvalidOptionError(f"iteration count must be a nonnegative integer, got {i!r}")
     words = [w0]
     for k in range(1, i + 1):
         try:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +23,7 @@ from symroot import (
     rewrite,
     verify_commutation,
 )
-from symroot.counting import step_counts
+from symroot.counting import _UNROLL_MAX, _step, _stepper, step_counts
 from symroot.errors import DimensionMismatchError, IndexOutOfRangeError
 from symroot.polynomial import MonicPolynomial
 from symroot.rewriting import letter_text
@@ -176,3 +180,54 @@ def test_negation_equivariance(p, raw, depth):
     minus = iterate_counts(M, CountVector(tuple(-x for x in v0.n)), depth)
     for a, b in zip(plus, minus):
         assert b.n == tuple(-x for x in a.n)
+
+
+# zero, small signed and 1000-bit counts and coefficients
+step_ints = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(2**1000), 2**1000))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_unrolled_step_matches_the_generic_step(data):
+    m = data.draw(st.integers(1, _UNROLL_MAX + 2))
+    a = tuple(data.draw(st.lists(step_ints, min_size=m, max_size=m)))
+    n = tuple(data.draw(st.lists(step_ints, min_size=m, max_size=m)))
+    assert _stepper(m)(a, n) == _step(a, n)
+
+
+def test_stepper_is_built_once_per_degree_and_capped():
+    for m in range(1, _UNROLL_MAX + 3):
+        a = tuple((-1) ** i * (i + 1) for i in range(m))
+        n = tuple((2**1000 + i) * (-1) ** i if i % 3 else 0 for i in range(m))
+        assert _stepper(m)(a, n) == _step(a, n)
+        assert _stepper(m) is _stepper(m)
+        assert (_stepper(m) is _step) == (m > _UNROLL_MAX)
+
+
+def test_stepper_takes_no_coefficient_text():
+    # a coefficient past CPython's 4300-digit int->str limit cannot be
+    # written into source, yet a freshly built kernel steps with it exactly:
+    # the kernel's source depends on m alone
+    a, n = (10**5000, -(10**4400), 7), (3, -2, 10**4500)
+    assert _stepper.__wrapped__(3)(a, n) == _stepper(3)(a, n) == _step(a, n)
+
+
+def test_import_compiles_no_step_kernel():
+    # site off (-S): importing the CLI builds no kernel, so a run's set-up
+    # time does not carry one; the first run of a degree builds its kernel,
+    # and the replay of its history reuses it
+    child = (
+        "import symroot.cli, symroot.counting as c\n"
+        "print(c._stepper.cache_info().currsize)\n"
+        "tuple(symroot.estimate_root(symroot.parse_polynomial('x^2 - x - 1')).history)\n"
+        "print(c._stepper.cache_info().currsize)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", child],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1"]

@@ -202,8 +202,9 @@ def test_invalid_options_rejected():
         rejected(oracle_largest_real_root, GOLDEN, bad)
     for bad in (0, -1, 1.0, True, "5"):
         rejected(estimate_root, GOLDEN, max_iters=bad)
-    rejected(iterate_counts, GOLDEN, CountVector.unit(2), -1)
-    rejected(iterate_words, build_rule(GOLDEN), default_initial_word(), -1)
+    for bad in (-1, True, False, 1.0, "1"):
+        rejected(iterate_counts, GOLDEN, CountVector.unit(2), bad)
+        rejected(iterate_words, build_rule(GOLDEN), default_initial_word(), bad)
     rejected(letter, 1, 0)
 
 
