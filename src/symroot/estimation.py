@@ -588,34 +588,27 @@ def _ceil_root(n: int, k: int) -> int:
 
 
 def _sturm_sequence(p: MonicPolynomial) -> list[list[int]]:
-    # p, p', then each member is minus the remainder of the two before it,
-    # down to g, the last nonzero one, a gcd of p and p'; all of them divided
-    # by g. Sign variations along it then count the distinct real roots of p
-    # (Sturm 1829), and the count stays exact at a repeated root, where the
-    # undivided members all vanish. Each member is kept times the positive
-    # lcm of its denominators, which changes no sign, so that _sign_at works
-    # on integers
-    f = [Fraction(1), *(Fraction(-a) for a in p.a)]
+    # p, p', then each member is minus the pseudo-remainder of the two before
+    # it, made primitive, down to g, the last nonzero one, a gcd of p and p';
+    # all of them divided by g. Sign variations along it then count the
+    # distinct real roots of p (Sturm 1829), and the count stays exact at a
+    # repeated root, where the undivided members all vanish. Each member is a
+    # positive multiple of the Euclidean one, so every sign is the same
+    f = [1, *(-a for a in p.a)]
     seq = [f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]]
-    while True:
-        r = _divmod(seq[-2], seq[-1])[1]
-        if not r:
-            break
-        seq.append([-c for c in r])
-    g = seq[-1]
-    sturm = []
-    for q in (_divmod(q, g)[0] for q in seq):
-        scale = math.lcm(*(c.denominator for c in q))
-        sturm.append([c.numerator * (scale // c.denominator) for c in q])
-    return sturm
+    while r := _pdiv(seq[-2], seq[-1])[1]:
+        seq.append(_primitive([-c for c in r]))
+    return [_primitive(_pdiv(q, seq[-1])[0]) for q in seq]
 
 
-def _divmod(u: list[Fraction], v: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    # quotient and remainder of descending coefficient lists; v[0] nonzero,
-    # and the remainder has no leading zeros
-    u, q = list(u), []
+def _pdiv(u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
+    # quotient and remainder of |v[0]|^(len(u) - len(v) + 1) u by v, integer
+    # coefficients descending, len(u) >= len(v): positive multiples of the
+    # exact ones, and every // is exact. The remainder has no leading zeros
+    scale = abs(v[0]) ** (len(u) - len(v) + 1)
+    u, q = [c * scale for c in u], []
     while len(u) >= len(v):
-        c = u[0] / v[0]
+        c = u[0] // v[0]
         q.append(c)
         for i in range(1, len(v)):
             u[i] -= c * v[i]
@@ -623,6 +616,11 @@ def _divmod(u: list[Fraction], v: list[Fraction]) -> tuple[list[Fraction], list[
     while u and u[0] == 0:
         del u[0]
     return q, u
+
+
+def _primitive(q: list[int]) -> list[int]:
+    g = math.gcd(*q)
+    return [c // g for c in q]
 
 
 def _variations(sturm: list[list[int]], x: Fraction) -> int:

@@ -328,6 +328,61 @@ def test_oracle_outputs_pinned():
     assert h.hexdigest() == ORACLE_SHA256
 
 
+def _times(f, g):
+    # product of two ascending coefficient lists
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _dense_polys(rng, degrees):
+    # a_1..a_(m-1) in -9..9 and a_m in 1..9, every coefficient drawn
+    return [
+        MonicPolynomial(tuple(rng.randint(-9, 9) for _ in range(m - 1)) + (rng.randint(1, 9),))
+        for m in degrees
+    ]
+
+
+# SHA-256 of oracle_largest_real_root(p, 10^-12) and of estimate_root(p,
+# tol=10^-6)'s status, final, oracle root and agreement, over 20 seeded dense
+# polynomials of degree 5-24 and 10 products (x^2 + bx + c)^2 (x + d), b, c,
+# d in -5..5, whose repeated quadratic factors the sparse pins lack. Computed
+# on commit 61f4e0b, whose Sturm chain was built by division over Fraction
+DENSE_ORACLE_SHA256 = "56a2f949916f3cc0f51b67903f48bb4150893ed5669b98c87dc51f680b1017fa"
+
+
+def test_dense_oracle_outputs_pinned():
+    rng = random.Random(24)
+    polys = _dense_polys(rng, [rng.randint(5, 24) for _ in range(20)])
+    for _ in range(10):
+        b, c, d = (rng.randint(-5, 5) for _ in range(3))
+        polys.append(from_coefficients(_times(_times([c, b, 1], [c, b, 1]), [d, 1])))
+    h = hashlib.sha256()
+    for p in polys:
+        rep = estimate_root(p, tol=Fraction(1, 10**6))
+        h.update(
+            f"{p.a} {oracle_largest_real_root(p, TOL)} {rep.status.name} {rep.final_estimate}"
+            f" {rep.oracle_root} {rep.oracle_agreement}\n".encode()
+        )
+    assert h.hexdigest() == DENSE_ORACLE_SHA256
+
+
+def test_sturm_members_are_primitive_integer_polynomials():
+    # each member is a positive multiple of the Euclidean one divided by the
+    # gcd of its coefficients, so the chain stays small where dividing over
+    # the rationals and clearing denominators does not
+    polys = [parse_polynomial(text) for text in ORACLE_BENCH_POLYS]
+    polys += [from_coefficients(_from_roots(r)) for r in ((3, 3, -1), (1, 1, 1, 2, 2), (0, 0, -2, -2, 5))]
+    polys += _dense_polys(random.Random(5), range(5, 49, 7))
+    for p in polys:
+        for q in _sturm_sequence(p):
+            assert all(type(c) is int for c in q) and math.gcd(*q) == 1, (p.a, q)
+    p48 = _dense_polys(random.Random(3), (24, 48))[1]
+    assert sum(c.bit_length() for q in _sturm_sequence(p48) for c in q) < 10**6
+
+
 def _close_pair_sample():
     # (x - a)^2 - c, roots a +- sqrt c, c in 1..3: the grid step is about
     # a^2 / 4096, so past |a| = 64 both roots share a cell or two; a third
@@ -482,16 +537,35 @@ def test_root_bound_pins():
     assert _root_bound(p) == _cauchy_bound(p) == 10
 
 
+def _sqrt_in(c, a, b):
+    # sqrt c in [a, b], exactly: a <= sqrt c when a <= 0 or a^2 <= c
+    return (a <= 0 or a * a <= c) and b >= 0 and b * b >= c
+
+
 @settings(max_examples=200)
 @given(
-    st.lists(st.integers(-4, 4), min_size=1, max_size=5),
+    st.one_of(
+        st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=5), st.just(0), st.just(0)),
+        # (x - r)(x^2 - c)^k: the gcd of p and p' is (x^2 - c)^(k-1), no
+        # product of linear factors
+        st.tuples(
+            st.integers(-4, 4).map(lambda r: [r]),
+            st.sampled_from([c for c in range(2, 13) if math.isqrt(c) ** 2 != c]),
+            st.integers(1, 3),
+        ),
+    ),
     st.fractions(-5, 5, max_denominator=4),
     st.fractions(0, 6, max_denominator=4),
 )
-def test_sturm_count_is_exact_at_repeated_roots_and_endpoints(roots, a, width):
+def test_sturm_count_is_exact_at_repeated_roots_and_endpoints(case, a, width):
     # endpoints often land on a root, repeated or not
-    sturm = _sturm_sequence(from_coefficients(_from_roots(roots)))
-    assert _roots_in(sturm, a, a + width) == len({r for r in roots if a <= r <= a + width})
+    roots, c, k = case
+    b = a + width
+    coeffs = functools.reduce(_times, [[-c, 0, 1]] * k, list(_from_roots(roots)))
+    want = len({r for r in roots if a <= r <= b})
+    if k:
+        want += _sqrt_in(c, a, b) + _sqrt_in(c, -b, -a)
+    assert _roots_in(_sturm_sequence(from_coefficients(coeffs)), a, b) == want
 
 
 @pytest.mark.parametrize(
