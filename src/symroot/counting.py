@@ -11,7 +11,7 @@ precision; entries grow geometrically with iteration depth and that is fine.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from operator import add, mul
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, InvalidOptionError
@@ -65,33 +65,138 @@ def _step(a: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
     return (sum(map(mul, a, n), n[0]), *map(add, n, n[1:]))
 
 
-# the largest degree whose step _stepper unrolls: a kernel's compile time and
-# code grow with m (about 0.1 ms and 1.4 KiB at m = 3, 1 ms and 7 KiB at 64),
+# the largest degree whose step _stepper and whose loop _runner unroll: a
+# kernel's compile time and code grow with m (a step's about 0.1 ms and
+# 1.4 KiB at m = 3, 1 ms and 7 KiB at 64; a loop's 0.2 ms at 3, 1 ms at 64),
 # its lead over _step shrinks (3x at m = 3 on 64-bit counts, 1.8x at 64, and
 # none at 64 on 1000-bit counts, where the big-int arithmetic is the step),
 # and near m = 3000 the unrolled sum no longer compiles at all
 _UNROLL_MAX = 64
 
 
+def _rows(m: int) -> tuple[str, str, str]:
+    # the source text of one unrolled count step at degree m: the names
+    # "a0, ..., a(m-1)" and "n0, ..., n(m-1)", and the new counts
+    # "n0 + a0*n0 + ... + a(m-1)*n(m-1), n0 + n1, ..., n(m-2) + n(m-1)",
+    # each with no map, slice, sum or star. Every name and operator is
+    # written from the int m alone
+    a = [f"a{i}" for i in range(m)]
+    n = [f"n{i}" for i in range(m)]
+    rows = [" + ".join(["n0", *map("{}*{}".format, a, n)]), *map("{} + {}".format, n, n[1:])]
+    return ", ".join(a), ", ".join(n), ", ".join(rows)
+
+
+def _compile(source: str, name: str):
+    # exec is only ever handed the text of _rows and of ints, so no
+    # coefficient or count text ever reaches it
+    scope: dict = {}
+    exec(source, scope)
+    return scope[name]
+
+
 @cache
 def _stepper(m: int):
     # the count step for degree m, fetched once before a loop: up to
     # _UNROLL_MAX, straight-line code that unpacks a and n into locals and
-    # adds and multiplies them with no map, slice, sum or star (about a third
-    # of _step's time at m = 3 on Python 3.11), built by exec from a source
-    # that depends on the int m alone, so no coefficient or count text ever
-    # reaches exec; compiled once per degree on first use. Above _UNROLL_MAX
+    # steps them as _rows writes (about a third of _step's time at m = 3 on
+    # Python 3.11), compiled once per degree on first use. Above _UNROLL_MAX
     # it is _step itself
     if m > _UNROLL_MAX:
         return _step
-    a = [f"a{i}" for i in range(m)]
-    n = [f"n{i}" for i in range(m)]
-    row_1 = " + ".join(["n0", *map("{}*{}".format, a, n)])
-    rows = "".join(f" {x} + {y}," for x, y in zip(n, n[1:]))
-    scope: dict = {}
-    exec(f"def step(a, n):\n {', '.join(a)}, = a\n {', '.join(n)}, = n\n return ({row_1},{rows})",
-         scope)
-    return scope["step"]
+    a, n, rows = _rows(m)
+    return _compile(f"def step(a, n):\n {a}, = a\n {n}, = n\n return ({rows},)", "step")
+
+
+# _run's float of n_1/n_2 divides the counts directly while |n_2| <
+# 2^_DIRECT_BITS, correctly rounded; longer counts are shifted to their top
+# 64 bits first, as _top_ratio does. On Python 3.11 int / int takes 0.04 us
+# on 20-bit counts, 0.5 us at 1000 bits and 3.5 us at 15600, and the
+# top-bit quotient 0.4-0.8 us at any size, so the shift pays only on long
+# counts
+_DIRECT_BITS = 1000
+
+
+def _run(s, a, n, x, k, stop, c, tol_f):
+    # the count loop's common step, at any degree: from v_k = n and x = x_k,
+    # the float of n_1/n_2 (nan if it has none), step on while nothing but
+    # the count step can happen at the new k, and return (k, v_(k-1), v_k,
+    # x_(k-1)) at the first k where something might, for the loop to decide
+    # by its exact rules: k == stop; x_k has no float (n_2 = 0 or past the
+    # double range) or is not certainly more than tol_f from x_(k-1), by
+    # _certainly_apart's test, inline; or, for s < m, v_k passes the cycle
+    # pretest n_s == n_(s+1) c, c being entry s - 1 of v_s (for s = 0, entry
+    # m - 1 of e_1, which is 0). The float is x_k divided directly while
+    # |n_2| < 2^_DIRECT_BITS, correctly rounded, and otherwise _top_ratio's
+    # top-bit quotient, so _certainly_apart's proof covers the test; nan
+    # passes no comparison, so a step after one with no float is handed
+    # back. The compiled kernels of _runner keep this contract, and this is
+    # their reference
+    hi = 1 << _DIRECT_BITS
+    while True:
+        prev, n = n, _step(a, n)
+        k += 1
+        try:
+            if -hi < n[1] < hi:
+                y = n[0] / n[1]
+            else:
+                t = max(min(n[0].bit_length(), n[1].bit_length()) - 64, 0)
+                y = (n[0] >> t) / (n[1] >> t)
+        except (ZeroDivisionError, OverflowError):
+            break
+        if (k == stop or not abs(x - y) > tol_f + 2**-50 * (abs(x) + abs(y)) + 2**-1000
+                or s < len(n) and n[s - 1] == n[s] * c):
+            break
+        x = y
+    return k, prev, n, x
+
+
+# _run's loop with the step of _rows inline and the counts in locals; the
+# template's fields are filled from ints alone
+_RUN_SOURCE = """\
+def run(a, n, x, k, stop, c, tol_f):
+    {a}, = a
+    {n}, = n
+    hi = 1 << {bits}
+    lo = -hi
+    while True:
+        {p} = {n}
+        {n} = {rows}
+        k += 1
+        try:
+            if lo < n1 < hi:
+                y = n0 / n1
+            else:
+                t = max(min(n0.bit_length(), n1.bit_length()) - 64, 0)
+                y = (n0 >> t) / (n1 >> t)
+        except (ZeroDivisionError, OverflowError):
+            break
+        if k == stop or not abs(x - y) > tol_f + 2**-50 * (abs(x) + abs(y)) + 2**-1000{pretest}:
+            break
+        x = y
+    return k, ({p},), ({n},), x
+"""
+
+
+@cache
+def _runner(m: int, s: int):
+    # _run for degree m >= 2 and s, the multiplicity of -1 as a root of p
+    # (0 <= s <= m), fetched once before the count loop: up to _UNROLL_MAX,
+    # compiled once per (m, s) on first use from _RUN_SOURCE; above it, _run
+    # itself with s bound. (x-3)^2 (x+1)'s 20000 steps take about 10 ms in
+    # its kernel against 19 ms as _stepper's step, _top_ratio and
+    # _certainly_apart, three calls a step (Python 3.11)
+    if m > _UNROLL_MAX:
+        return partial(_run, s)
+    a, n, rows = _rows(m)
+    if s == 0:
+        pretest = f" or not n{m - 1}"
+    elif s < m:
+        pretest = f" or n{s - 1} == n{s} * c"
+    else:
+        pretest = ""
+    p = ", ".join(f"p{i}" for i in range(m))
+    source = _RUN_SOURCE.format(a=a, n=n, p=p, rows=rows, bits=_DIRECT_BITS, pretest=pretest)
+    return _compile(source, "run")
 
 
 def _check_dimension(p: MonicPolynomial, v: CountVector) -> None:

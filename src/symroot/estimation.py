@@ -23,10 +23,10 @@ from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, islice
-from operator import index, or_
+from itertools import accumulate, islice, repeat
+from operator import index, mul, or_
 
-from .counting import CountVector, _stepper
+from .counting import CountVector, _runner, _stepper
 from .errors import DegreeTooSmallError, InvalidOptionError
 from .polynomial import FrozenValue, MonicPolynomial
 
@@ -337,8 +337,10 @@ def _top_ratio(a: int, b: int) -> float | None:
     # within 2^-53 relative, or 2^-1075 absolute if subnormal, of a quotient
     # within 2^-61 relative of a / b; _certainly_apart's margin covers both.
     # Shorter counts, the common case once _iterate strips powers of two, are
-    # divided exactly, the float the correctly rounded ratio. Only the
-    # loop's settle filter reads it
+    # divided exactly, the float the correctly rounded ratio. The loop's
+    # settle filter reads it at each step the count kernel hands back; the
+    # kernel's own float (counting._run) is either this quotient or a
+    # correctly rounded one, so this bound holds for it too
     s = min(a.bit_length(), b.bit_length()) - 64
     if s > 0:
         a, b = a >> s, b >> s
@@ -369,7 +371,8 @@ def _certainly_apart(x: float, y: float, tol_f: float) -> bool:
     # |X - Y| > tol_f + (8 - 4.1 - 1.01) u S > tol_f >= tol: the margin 8u S
     # = 2^-50 S covers the truncation's 2^-61 S with 2.8u S to spare, and
     # 2^-1000 the absolute terms. An overflow to inf on the right can only
-    # stop a rejection
+    # stop a rejection. The count kernel (counting._run) runs this test
+    # inline, word for word
     return abs(x - y) > tol_f + 2**-50 * (abs(x) + abs(y)) + 2**-1000
 
 
@@ -381,9 +384,10 @@ def _iterate(
     # iterations_used, last counts) and keeps no history, which History
     # replays from v_0 on demand. Every rule decides exactly on the counts;
     # a float only skips settle tests whose answer it already knows. Each
-    # step reads one float, x_k ~ n_1/n_2 by _top_ratio. The settle rule
-    # needs pair 0 within tol, so x_(k-1) and x_k certainly apart rule it
-    # out; only the steps they cannot decide reach _settled, which decides
+    # step reads one float, x_k ~ n_1/n_2 (by _top_ratio here; nan if n_2 = 0
+    # or past the double range, and no comparison passes on nan). The settle
+    # rule needs pair 0 within tol, so x_(k-1) and x_k certainly apart rule
+    # it out; only the steps they cannot decide reach _settled, which decides
     # on the counts. The loop carries v_k / 2^shift, v_k over the common
     # power of two of its counts, and hands back the raw v_k once, on
     # return. No decision changes: the step is linear; _profile_agrees,
@@ -392,10 +396,13 @@ def _iterate(
     # and v / 2^t are equal. When R = I + C(p) is nilpotent mod 2, as when
     # p = (x+1)^m mod 2, the counts gain a factor 2 at least every m steps:
     # (x-3)^2 (x+1) gains 2 bits a step, and by step 20000 39996 of its
-    # 40014 bits are the common power of two. The step is the degree's
-    # unrolled kernel from _stepper, fetched once before the loop
+    # 40014 bits are the common power of two. The steps where no rule can
+    # act, nearly all of them, run in the kernel of _runner for (m, s),
+    # fetched once before the loop: it steps, reads its own float of x_k and
+    # hands back v_(k-1), v_k and x_(k-1) at the first k that the settle
+    # filter cannot rule out, that passes the cycle pretest below, that
+    # strips, that is s or that is max_iters; the loop decides that k here
     a, m = p.a, p.degree
-    step = _stepper(m)
     n = CountVector.unit(m).n
     tol_f = _float_tol(tol)
     # the cycle rule compares v_k with one vector, v_s. v_k = R^k e_1, and
@@ -416,7 +423,9 @@ def _iterate(
     c, s = [1, *(-x for x in a)], 0
     while not (c := list(accumulate(c, lambda b, x: x - b)))[-1]:
         c, s = c[:-1], s + 1
-    prev = x_prev = v_s = None
+    run = _runner(m, s)
+    prev = v_s = None
+    x_prev = math.nan  # no float before v_0
     k = shift = 0
     while True:
         if k == s == m:
@@ -429,10 +438,10 @@ def _iterate(
                 n = tuple(x >> t for x in n)
                 shift += t
         x = _top_ratio(n[0], n[1])
-        if x is None or x_prev is None or not _certainly_apart(x_prev, x, tol_f):
-            if _settled(prev, n, tol):
-                status = Status.CONVERGED
-                break
+        x = math.nan if x is None else x  # nan is apart from nothing
+        if not _certainly_apart(x_prev, x, tol_f) and _settled(prev, n, tol):
+            status = Status.CONVERGED
+            break
         if k == s:
             v_s = n
         elif k > s + 1 and n[s - 1] == n[s] * v_s[s - 1] and n == tuple(n[s] * y for y in v_s):
@@ -443,9 +452,8 @@ def _iterate(
         if k == max_iters:
             status = Status.MAX_ITERATIONS_REACHED
             break
-        prev, x_prev = n, x
-        k += 1
-        n = step(a, n)
+        stop = min(max_iters, k - k % _STRIP_EVERY + _STRIP_EVERY, s if k < s else max_iters)
+        k, prev, n, x_prev = run(a, n, x, k, stop, 0 if v_s is None else v_s[s - 1], tol_f)
     return status, k, tuple(x << shift for x in n)
 
 
@@ -625,8 +633,18 @@ def _primitive(q: list[int]) -> list[int]:
 
 def _variations(sturm: list[list[int]], x: Fraction) -> int:
     # sign changes along the sequence at x, zeros skipped; from a to b > a it
-    # drops by the number of distinct roots of p in (a, b]
-    signs = [s for s in (_sign_at(q, x) for q in sturm) if s]
+    # drops by the number of distinct roots of p in (a, b]. Each member's
+    # sign is _sign_at's, with the powers of x's denominator computed once
+    # for the point and shared by every member
+    a, b = x.numerator, x.denominator
+    b_pows = list(accumulate(repeat(b, len(sturm[0]) - 1), mul))
+    signs = []
+    for q in sturm:
+        value = q[0]
+        for c, b_i in zip(q[1:], b_pows):
+            value = value * a + c * b_i
+        if value:
+            signs.append(value > 0)
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 

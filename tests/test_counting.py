@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from symroot import (
     rewrite,
     verify_commutation,
 )
-from symroot.counting import _UNROLL_MAX, _step, _stepper, step_counts
+from symroot.counting import _UNROLL_MAX, _run, _runner, _step, _stepper, step_counts
 from symroot.errors import DimensionMismatchError, IndexOutOfRangeError
 from symroot.polynomial import MonicPolynomial
 from symroot.rewriting import letter_text
@@ -207,20 +208,42 @@ def test_stepper_is_built_once_per_degree_and_capped():
 def test_stepper_takes_no_coefficient_text():
     # a coefficient past CPython's 4300-digit int->str limit cannot be
     # written into source, yet a freshly built kernel steps with it exactly:
-    # the kernel's source depends on m alone
+    # the step kernel's source depends on m alone, and the count loop's
+    # kernel's on m and s alone. From x = nan the loop's kernel hands back
+    # after one step, its counts _step's
     a, n = (10**5000, -(10**4400), 7), (3, -2, 10**4500)
     assert _stepper.__wrapped__(3)(a, n) == _stepper(3)(a, n) == _step(a, n)
+    for s in range(4):
+        args = (a, n, math.nan, 0, 100, -(10**4600), 0.0)
+        assert _runner.__wrapped__(3, s)(*args)[:3] == _run(s, *args)[:3] == (1, n, _step(a, n))
+
+
+def test_runner_is_built_once_per_degree_and_s():
+    # one compiled kernel per (m, s) up to _UNROLL_MAX, each built on its
+    # first use and reused after; above it, _run with s bound
+    _runner.cache_clear()
+    keys = [(m, s) for m in (2, 3, 5, _UNROLL_MAX) for s in range(m + 1)]
+    kernels = [_runner(m, s) for m, s in keys]
+    assert _runner.cache_info().currsize == len(keys)
+    assert [_runner(m, s) for m, s in keys] == kernels
+    assert _runner.cache_info().currsize == len(keys)
+    assert len({id(f) for f in kernels}) == len(keys)
+    assert all(f.__name__ == "run" for f in kernels)
+    for s in range(3):
+        f = _runner(_UNROLL_MAX + 1, s)
+        assert (f.func, f.args) == (_run, (s,))
+        assert _runner(_UNROLL_MAX + 1, s) is f
 
 
 def test_import_compiles_no_step_kernel():
     # site off (-S): importing the CLI builds no kernel, so a run's set-up
-    # time does not carry one; the first run of a degree builds its kernel,
-    # and the replay of its history reuses it
+    # time does not carry one; the first run of a degree builds its count
+    # loop's kernel, and the replay of its history its step kernel
     child = (
         "import symroot.cli, symroot.counting as c\n"
-        "print(c._stepper.cache_info().currsize)\n"
+        "print(c._stepper.cache_info().currsize, c._runner.cache_info().currsize)\n"
         "tuple(symroot.estimate_root(symroot.parse_polynomial('x^2 - x - 1')).history)\n"
-        "print(c._stepper.cache_info().currsize)\n"
+        "print(c._stepper.cache_info().currsize, c._runner.cache_info().currsize)\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", child],
@@ -230,4 +253,4 @@ def test_import_compiles_no_step_kernel():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "1"]
+    assert done.stdout.split() == ["0", "0", "1", "1"]

@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from symroot import (
     CountVector,
@@ -26,8 +26,8 @@ from symroot import (
     parse_polynomial,
     ratio_estimates,
 )
-from symroot import estimation
-from symroot.counting import step_counts
+from symroot import counting, estimation
+from symroot.counting import _run, _runner, step_counts
 from symroot.errors import DegreeTooSmallError, InvalidOptionError, SymrootError
 from symroot.estimation import (
     _below,
@@ -766,16 +766,49 @@ def boundary_vectors(draw):
     return vectors[0], vectors[1], tol
 
 
+def _kernel_float(run, a, b):
+    # the float a count kernel reads for n_1/n_2 = a/b, or None if it has
+    # none: at m = 2 and s = 2 (no cycle pretest), one step from (1, b - 1)
+    # with coefficients (a - 1, 0) lands on (a, b); from an x of the other
+    # sign and 10^308 in size the filter passes it, and the next step meets
+    # stop, handing back the float of (a, b) as x_(k-1)
+    far = -1e308 if (a < 0) == (b < 0) else 1e308
+    k, prev, n, x = run((a - 1, 0), (1, b - 1), far, 0, 2, 0, 0.0)
+    assert (prev if k == 2 else n) == (a, b)
+    return x if k == 2 else None
+
+
+def _lands_on(run, w, x, tol_f):
+    # the k at which a kernel hands back after one step lands on w's first
+    # two counts from x_0 = x: 1 unless it certainly rules out settling
+    return run((w[0] - 1, 0), (1, w[1] - 1), x, 0, 100, 0, tol_f)[0]
+
+
+KERNELS_M2 = [_runner(2, 2), functools.partial(_run, 2)]  # compiled, reference
+_K = 3**700  # 1110 bits: past 2^1000, and short enough for an example's repr
+
+
 @settings(max_examples=400, deadline=None)
 @given(boundary_vectors())
+@example(((13, 8), (21, 13), Fraction(1, 100)))  # n_2 < 2^1000: direct quotients
+@example(((100 * _K, _K), (100 * _K + 1, _K), Fraction(1, _K)))  # top-bit quotients
+@example(((100, 1), (100 * _K + 1, _K), Fraction(1, _K)))  # one of each
+@example(((-256, 1), (-767, 3), Fraction(1, 3)))  # exactly tol apart, floats more than tol_f
 def test_float_filter_never_overrides_the_exact_settle_rule(case):
     # settled counts: x_k = n_1/n_2 of the two sides is not certainly more
-    # than tol apart
+    # than tol apart, whether read by _top_ratio or by a count kernel, which
+    # divides directly while |n_2| < 2^1000 and takes the top bits above;
+    # and a kernel step that lands on w from either float of u hands back
     u, w, tol = case
     tol_f = _float_tol(tol)
     xu, xw = _top_ratio(u[0], u[1]), _top_ratio(w[0], w[1])
     if _settled(u, w, tol):
         assert not (xu is not None and xw is not None and _certainly_apart(xu, xw, tol_f))
+        for run in KERNELS_M2:
+            ku, kw = _kernel_float(run, *u[:2]), _kernel_float(run, *w[:2])
+            assert not (ku is not None and kw is not None and _certainly_apart(ku, kw, tol_f))
+            for x in (xu, ku):
+                assert _lands_on(run, w, math.nan if x is None else x, tol_f) == 1
 
 
 def _full_width_settled(u, w, tol):
@@ -864,6 +897,20 @@ def test_top_ratio_stays_within_the_proved_bound(n):
         if min(a.bit_length(), b.bit_length()) <= 64:
             # divided exactly: the correctly rounded ratio, or None past it
             assert x == estimation._json_float(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_counts())
+def test_kernel_float_stays_within_the_proved_bound(n):
+    # a count kernel's float of n_1/n_2, compiled and reference alike: the
+    # correctly rounded quotient while |n_2| < 2^1000, _top_ratio's above,
+    # so within the bound that _certainly_apart's margin covers
+    for a, b in zip(n, n[1:]):
+        if abs(b) < 2**1000:
+            want = estimation._json_float(Fraction(a, b)) if b else None
+        else:
+            want = _top_ratio(a, b)
+        assert [_kernel_float(run, a, b) for run in KERNELS_M2] == [want, want]
 
 
 def _shifted(q):
@@ -1184,6 +1231,60 @@ def test_loop_outcomes_pinned():
                     status, k, n = _iterate(p, max_iters, tol)
                     h.update(f"{status.value} {k} {n}\n".encode())
     assert h.hexdigest() == LOOP_SHA256
+
+
+def _times_x_plus_1(c, s):
+    # c (ascending) times (x + 1)^s
+    for _ in range(s):
+        c = [x + y for x, y in zip([0, *c], [*c, 0])]
+    return c
+
+
+def test_compiled_kernels_match_the_plain_loop(monkeypatch):
+    # a seeded sweep of _iterate, once on the plain _run at every degree and
+    # once on the compiled kernels, each of whose calls is checked against
+    # _run on the same arguments: the same (status, k, counts) and the same
+    # hand-backs. It covers s = 0..3 from (x+1)^s factors, budgets under 32
+    # and off multiples of 32, a zero n_2 (a_1 = -2 at k = 2), counts past
+    # the double range, DegenerateStart and NoRealLimit at v_s with s >= 1
+    rng = random.Random(2025)
+    polys = [
+        from_coefficients(_times_x_plus_1([rng.randint(-3, 3) for _ in range(d)] + [1], s))
+        for s in range(4) for d in (1, 2, 3) for _ in range(6) if s + d >= 2
+    ]
+    polys += [from_coefficients(_times_x_plus_1([1], m)) for m in (2, 3, 4)]  # (x+1)^m
+    polys += [MonicPolynomial((-2, 3)), MonicPolynomial((-2, -1, 2)), MonicPolynomial((2**1100, 1))]
+    polys += [parse_polynomial(t) for t in ("x^4 + 2x^2 - 3", "x^2 + x + 1", "x^2 - 201x + 10100",
+                                            "x^3 - 5x^2 + 3x + 9")]
+    seen = set()
+
+    def checked(m, s):
+        compiled, plain = counting._runner(m, s), functools.partial(_run, s)
+
+        def run(*args):
+            got, want = compiled(*args), plain(*args)
+            assert got[:3] == want[:3]
+            assert got[3] == want[3] or math.isnan(got[3]) and math.isnan(want[3])
+            n = got[2]
+            seen.add(("s", s))
+            seen.add(("zero n_2", n[1] == 0))
+            seen.add(("past doubles", max(abs(x) for x in n).bit_length() > 1100))
+            return got
+
+        return run
+
+    for p in polys:
+        for max_iters in (1, 5, 31, 33, 47, 100, 3000):
+            for tol in (TOL, Fraction(1, 1000), Fraction(1), Fraction(10**400)):
+                monkeypatch.setattr(estimation, "_runner", lambda m, s: functools.partial(_run, s))
+                want = _iterate(p, max_iters, tol)
+                monkeypatch.setattr(estimation, "_runner", checked)
+                assert _iterate(p, max_iters, tol) == want
+                seen.add(want[0])
+    assert {("s", s) for s in range(4)} | {("zero n_2", True), ("past doubles", True)} <= seen
+    assert set(Status) <= seen
+    # one of the sweep's NoRealLimit runs is at v_s with s = 1: d_7 = d_1
+    assert _iterate(parse_polynomial("x^4 + 2x^2 - 3"), 60, TOL)[:2] == (Status.NO_REAL_LIMIT, 7)
 
 
 def test_stripped_loop_returns_the_raw_counts_of_a_deep_run():
