@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import re
 import sys
 from fractions import Fraction
@@ -225,6 +224,7 @@ def cmd_trace(p: MonicPolynomial, args) -> int:
 
 
 def cmd_verify(p: MonicPolynomial, args) -> int:
+    import random  # only verify draws samples; a run skips its import
     rule = build_rule(p)
     m = p.degree
     cap = args.word_cap

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, partial
+from math import nan
 from operator import add, mul
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, InvalidOptionError
@@ -60,17 +61,17 @@ def count_word(w: Word, m: int) -> CountVector:
 def _step(a: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
     # the one count step (I + C(p)) n, read off p's a_1..a_m: row 1 is
     # n_1 + sum a_i n_i and row i is n_(i-1) + n_i, with no multiplication
-    # by the matrix's ones. It works at any degree and is the reference for
-    # the unrolled kernels of _stepper, which the loops call instead
+    # by the matrix's ones. It works at any degree; step_counts, iterate_counts
+    # and the history replay call it, and it is the reference for the rows
+    # that _runner's kernels unroll
     return (sum(map(mul, a, n), n[0]), *map(add, n, n[1:]))
 
 
-# the largest degree whose step _stepper and whose loop _runner unroll: a
-# kernel's compile time and code grow with m (a step's about 0.1 ms and
-# 1.4 KiB at m = 3, 1 ms and 7 KiB at 64; a loop's 0.2 ms at 3, 1 ms at 64),
-# its lead over _step shrinks (3x at m = 3 on 64-bit counts, 1.8x at 64, and
-# none at 64 on 1000-bit counts, where the big-int arithmetic is the step),
-# and near m = 3000 the unrolled sum no longer compiles at all
+# the largest degree whose loop _runner unrolls: a kernel's compile time and
+# code grow with m (0.2 ms at m = 3, 1 ms at 64), the unrolled rows' lead over
+# _step shrinks (3x at m = 3 on 64-bit counts, 1.8x at 64, and none at 64 on
+# 1000-bit counts, where the big-int arithmetic is the step), and near m =
+# 3000 the unrolled sum no longer compiles at all
 _UNROLL_MAX = 64
 
 
@@ -86,33 +87,11 @@ def _rows(m: int) -> tuple[str, str, str]:
     return ", ".join(a), ", ".join(n), ", ".join(rows)
 
 
-def _compile(source: str, name: str):
-    # exec is only ever handed the text of _rows and of ints, so no
-    # coefficient or count text ever reaches it
-    scope: dict = {}
-    exec(source, scope)
-    return scope[name]
-
-
-@cache
-def _stepper(m: int):
-    # the count step for degree m, fetched once before a loop: up to
-    # _UNROLL_MAX, straight-line code that unpacks a and n into locals and
-    # steps them as _rows writes (about a third of _step's time at m = 3 on
-    # Python 3.11), compiled once per degree on first use. Above _UNROLL_MAX
-    # it is _step itself
-    if m > _UNROLL_MAX:
-        return _step
-    a, n, rows = _rows(m)
-    return _compile(f"def step(a, n):\n {a}, = a\n {n}, = n\n return ({rows},)", "step")
-
-
 # _run's float of n_1/n_2 divides the counts directly while |n_2| <
 # 2^_DIRECT_BITS, correctly rounded; longer counts are shifted to their top
-# 64 bits first, as _top_ratio does. On Python 3.11 int / int takes 0.04 us
-# on 20-bit counts, 0.5 us at 1000 bits and 3.5 us at 15600, and the
-# top-bit quotient 0.4-0.8 us at any size, so the shift pays only on long
-# counts
+# 64 bits first. On Python 3.11 int / int takes 0.04 us on 20-bit counts,
+# 0.5 us at 1000 bits and 3.5 us at 15600, and the top-bit quotient 0.4-0.8
+# us at any size, so the shift pays only on long counts
 _DIRECT_BITS = 1000
 
 
@@ -120,17 +99,23 @@ def _run(s, a, n, x, k, stop, c, tol_f):
     # the count loop's common step, at any degree: from v_k = n and x = x_k,
     # the float of n_1/n_2 (nan if it has none), step on while nothing but
     # the count step can happen at the new k, and return (k, v_(k-1), v_k,
-    # x_(k-1)) at the first k where something might, for the loop to decide
-    # by its exact rules: k == stop; x_k has no float (n_2 = 0 or past the
-    # double range) or is not certainly more than tol_f from x_(k-1), by
-    # _certainly_apart's test, inline; or, for s < m, v_k passes the cycle
-    # pretest n_s == n_(s+1) c, c being entry s - 1 of v_s (for s = 0, entry
-    # m - 1 of e_1, which is 0). The float is x_k divided directly while
-    # |n_2| < 2^_DIRECT_BITS, correctly rounded, and otherwise _top_ratio's
-    # top-bit quotient, so _certainly_apart's proof covers the test; nan
-    # passes no comparison, so a step after one with no float is handed
-    # back. The compiled kernels of _runner keep this contract, and this is
-    # their reference
+    # x_(k-1), x_k) at the first k where something might, for the loop to
+    # decide by its exact rules: k == stop; x_k is nan or not certainly more
+    # than tol_f from x_(k-1), by _certainly_apart's test, inline; or, for
+    # s < m, v_k passes the cycle pretest n_s == n_(s+1) c, c being entry
+    # s - 1 of v_s (for s = 0, entry m - 1 of e_1, which is 0). x_k is nan
+    # when n_2 = 0 or the quotient is past the double range; nan passes no
+    # comparison, so that step is handed back. Otherwise x_k is divided
+    # directly while |n_2| < 2^_DIRECT_BITS, correctly rounded. Above, both
+    # counts shift right by one amount t, so that the shorter keeps 64 bits
+    # (no shift if it has fewer, and then x_k is correctly rounded too), and
+    # int / int rounds the quotient correctly. A count c of 64 bits or more has |(c >> t) - c/2^t| < 1 <=
+    # 2^-63 |c/2^t| (>> floors, for either sign), and (1 + e)/(1 + f) with
+    # |e|, |f| < 2^-63 is within 2^-62 (1 + 2^-62) of 1. So x_k is within
+    # 2^-53 relative, or 2^-1075 absolute if subnormal, of a quotient within
+    # 2^-61 relative of n_1/n_2, which _certainly_apart's proof covers. The
+    # compiled kernels of _runner keep this contract, and this is their
+    # reference
     hi = 1 << _DIRECT_BITS
     while True:
         prev, n = n, _step(a, n)
@@ -142,12 +127,12 @@ def _run(s, a, n, x, k, stop, c, tol_f):
                 t = max(min(n[0].bit_length(), n[1].bit_length()) - 64, 0)
                 y = (n[0] >> t) / (n[1] >> t)
         except (ZeroDivisionError, OverflowError):
-            break
+            y = nan
         if (k == stop or not abs(x - y) > tol_f + 2**-50 * (abs(x) + abs(y)) + 2**-1000
                 or s < len(n) and n[s - 1] == n[s] * c):
             break
         x = y
-    return k, prev, n, x
+    return k, prev, n, x, y
 
 
 # _run's loop with the step of _rows inline and the counts in locals; the
@@ -169,11 +154,11 @@ def run(a, n, x, k, stop, c, tol_f):
                 t = max(min(n0.bit_length(), n1.bit_length()) - 64, 0)
                 y = (n0 >> t) / (n1 >> t)
         except (ZeroDivisionError, OverflowError):
-            break
+            y = nan
         if k == stop or not abs(x - y) > tol_f + 2**-50 * (abs(x) + abs(y)) + 2**-1000{pretest}:
             break
         x = y
-    return k, ({p},), ({n},), x
+    return k, ({p},), ({n},), x, y
 """
 
 
@@ -183,8 +168,8 @@ def _runner(m: int, s: int):
     # (0 <= s <= m), fetched once before the count loop: up to _UNROLL_MAX,
     # compiled once per (m, s) on first use from _RUN_SOURCE; above it, _run
     # itself with s bound. (x-3)^2 (x+1)'s 20000 steps take about 10 ms in
-    # its kernel against 19 ms as _stepper's step, _top_ratio and
-    # _certainly_apart, three calls a step (Python 3.11)
+    # its kernel, half of what a call a step to each of the count step, the
+    # float and the settle filter takes (Python 3.11)
     if m > _UNROLL_MAX:
         return partial(_run, s)
     a, n, rows = _rows(m)
@@ -195,8 +180,11 @@ def _runner(m: int, s: int):
     else:
         pretest = ""
     p = ", ".join(f"p{i}" for i in range(m))
-    source = _RUN_SOURCE.format(a=a, n=n, p=p, rows=rows, bits=_DIRECT_BITS, pretest=pretest)
-    return _compile(source, "run")
+    # exec is only ever handed the text of _rows and of ints, so no
+    # coefficient or count text ever reaches it
+    scope = {"nan": nan}
+    exec(_RUN_SOURCE.format(a=a, n=n, p=p, rows=rows, bits=_DIRECT_BITS, pretest=pretest), scope)
+    return scope["run"]
 
 
 def _check_dimension(p: MonicPolynomial, v: CountVector) -> None:
@@ -211,7 +199,7 @@ def step_counts(p: MonicPolynomial, v: CountVector) -> CountVector:
     the a_i of p. Cost is O(m) big-integer operations.
     """
     _check_dimension(p, v)
-    return CountVector(_stepper(p.degree)(p.a, v.n))
+    return CountVector(_step(p.a, v.n))
 
 
 def iterate_counts(p: MonicPolynomial, v0: CountVector, max_i: int):
@@ -219,10 +207,10 @@ def iterate_counts(p: MonicPolynomial, v0: CountVector, max_i: int):
     if isinstance(max_i, bool) or not isinstance(max_i, int) or max_i < 0:
         raise InvalidOptionError(f"iteration count must be a nonnegative integer, got {max_i!r}")
     _check_dimension(p, v0)
-    step, a, n = _stepper(p.degree), p.a, v0.n
+    a, n = p.a, v0.n
     out = [v0]
     for _ in range(max_i):
-        n = step(a, n)
+        n = _step(a, n)
         out.append(CountVector(n))
     return tuple(out)
 

@@ -26,7 +26,7 @@ from functools import reduce
 from itertools import accumulate, islice, repeat
 from operator import index, mul, or_
 
-from .counting import CountVector, _runner, _stepper
+from .counting import CountVector, _runner, _step
 from .errors import DegreeTooSmallError, InvalidOptionError
 from .polynomial import FrozenValue, MonicPolynomial
 
@@ -103,10 +103,10 @@ class History(FrozenValue, Sequence):
         return self.length
 
     def __iter__(self) -> Iterator[tuple[RatioEstimate, ...]]:
-        step, a, n = _stepper(self.p.degree), self.p.a, CountVector.unit(self.p.degree).n
+        a, n = self.p.a, CountVector.unit(self.p.degree).n
         for k in range(self.length):
             if k:
-                n = step(a, n)
+                n = _step(a, n)
             yield tuple(_estimates(n, k))
 
     def __reversed__(self) -> Iterator[tuple[RatioEstimate, ...]]:
@@ -327,29 +327,6 @@ def _settled(prev: tuple[int, ...] | None, cur: tuple[int, ...], tol: Fraction) 
     )
 
 
-def _top_ratio(a: int, b: int) -> float | None:
-    # a / b from the top bits; None if b = 0 or past the double range. Both
-    # counts shift right by one amount s, so that the shorter keeps 64 bits
-    # (no shift if either is shorter, or 0), and int / int rounds the
-    # quotient correctly. A count c of 64 bits or more has |(c >> s) - c/2^s|
-    # < 1 <= 2^-63 |c/2^s| (>> floors, for either sign), and (1 + e)/(1 + f)
-    # with |e|, |f| < 2^-63 is within 2^-62 (1 + 2^-62) of 1. So the float is
-    # within 2^-53 relative, or 2^-1075 absolute if subnormal, of a quotient
-    # within 2^-61 relative of a / b; _certainly_apart's margin covers both.
-    # Shorter counts, the common case once _iterate strips powers of two, are
-    # divided exactly, the float the correctly rounded ratio. The loop's
-    # settle filter reads it at each step the count kernel hands back; the
-    # kernel's own float (counting._run) is either this quotient or a
-    # correctly rounded one, so this bound holds for it too
-    s = min(a.bit_length(), b.bit_length()) - 64
-    if s > 0:
-        a, b = a >> s, b >> s
-    try:
-        return a / b
-    except (ZeroDivisionError, OverflowError):
-        return None
-
-
 def _float_tol(tol: Fraction) -> float:
     # float(tol) rounded up (an ulp is at most 2^-52 relative or 2^-1074);
     # inf past the double range
@@ -362,8 +339,8 @@ def _float_tol(tol: Fraction) -> float:
 
 def _certainly_apart(x: float, y: float, tol_f: float) -> bool:
     # True only if the exact ratios X, Y behind x, y have |X - Y| > tol.
-    # Let u = 2^-53 and S = |x| + |y|. By _top_ratio, truncation and
-    # rounding put x within (u + 2^-61)|X| + 2^-1074 of X, and y likewise,
+    # Let u = 2^-53 and S = |x| + |y|. By counting._run's proof, truncation
+    # and rounding put x within (u + 2^-61)|X| + 2^-1074 of X, and y likewise,
     # so |X - Y| >= |x - y| - 1.01 u S - 2^-1072. Each operation below rounds
     # by at most u relative (2^-1075 absolute if subnormal), so when the test
     # passes, |x - y| > (1 - 4u)(tol_f + 8u S + 2^-1000) - 2^-1075, which
@@ -384,22 +361,23 @@ def _iterate(
     # iterations_used, last counts) and keeps no history, which History
     # replays from v_0 on demand. Every rule decides exactly on the counts;
     # a float only skips settle tests whose answer it already knows. Each
-    # step reads one float, x_k ~ n_1/n_2 (by _top_ratio here; nan if n_2 = 0
-    # or past the double range, and no comparison passes on nan). The settle
-    # rule needs pair 0 within tol, so x_(k-1) and x_k certainly apart rule
-    # it out; only the steps they cannot decide reach _settled, which decides
-    # on the counts. The loop carries v_k / 2^shift, v_k over the common
-    # power of two of its counts, and hands back the raw v_k once, on
-    # return. No decision changes: the step is linear; _profile_agrees,
-    # _settled and the cycle rule's identity compare ratios or are
-    # homogeneous in v_k, so each is blind to its scale; and the floats of v
-    # and v / 2^t are equal. When R = I + C(p) is nilpotent mod 2, as when
+    # step reads one float, x_k ~ n_1/n_2, which the count kernel computes
+    # (nan if n_2 = 0 or past the double range, as at v_0 = e_1, and no
+    # comparison passes on nan). The settle rule needs pair 0 within tol, so
+    # x_(k-1) and x_k certainly apart rule it out; only the steps they cannot
+    # decide reach _settled, which decides on the counts. The loop carries
+    # v_k / 2^shift, v_k over the common power of two of its counts, and
+    # hands back the raw v_k once, on return. No decision changes: the step
+    # is linear; _profile_agrees, _settled and the cycle rule's identity
+    # compare ratios or are homogeneous in v_k, so each is blind to its
+    # scale; and a strip leaves n_1/n_2, whose float the kernel read before
+    # it, as it was. When R = I + C(p) is nilpotent mod 2, as when
     # p = (x+1)^m mod 2, the counts gain a factor 2 at least every m steps:
     # (x-3)^2 (x+1) gains 2 bits a step, and by step 20000 39996 of its
     # 40014 bits are the common power of two. The steps where no rule can
     # act, nearly all of them, run in the kernel of _runner for (m, s),
     # fetched once before the loop: it steps, reads its own float of x_k and
-    # hands back v_(k-1), v_k and x_(k-1) at the first k that the settle
+    # hands back v_(k-1), v_k, x_(k-1) and x_k at the first k that the settle
     # filter cannot rule out, that passes the cycle pretest below, that
     # strips, that is s or that is max_iters; the loop decides that k here
     a, m = p.a, p.degree
@@ -425,7 +403,7 @@ def _iterate(
         c, s = c[:-1], s + 1
     run = _runner(m, s)
     prev = v_s = None
-    x_prev = math.nan  # no float before v_0
+    x_prev = x = math.nan  # no float before v_0, nor of v_0
     k = shift = 0
     while True:
         if k == s == m:
@@ -437,8 +415,6 @@ def _iterate(
             if t:
                 n = tuple(x >> t for x in n)
                 shift += t
-        x = _top_ratio(n[0], n[1])
-        x = math.nan if x is None else x  # nan is apart from nothing
         if not _certainly_apart(x_prev, x, tol_f) and _settled(prev, n, tol):
             status = Status.CONVERGED
             break
@@ -453,7 +429,7 @@ def _iterate(
             status = Status.MAX_ITERATIONS_REACHED
             break
         stop = min(max_iters, k - k % _STRIP_EVERY + _STRIP_EVERY, s if k < s else max_iters)
-        k, prev, n, x_prev = run(a, n, x, k, stop, 0 if v_s is None else v_s[s - 1], tol_f)
+        k, prev, n, x_prev, x = run(a, n, x, k, stop, 0 if v_s is None else v_s[s - 1], tol_f)
     return status, k, tuple(x << shift for x in n)
 
 

@@ -140,7 +140,7 @@ def test_value_constructors_validate():
 
 
 # each child prints, space-separated, which of these it has loaded so far
-_HEAVY = "print(*sorted({'dataclasses', 'inspect', 'json', 'typing'} & set(sys.modules)))"
+_HEAVY = "print(*sorted({'dataclasses', 'inspect', 'json', 'random', 'typing'} & set(sys.modules)))"
 
 _IMPORT_GUARD_CHILD = f"""
 import sys
@@ -178,9 +178,9 @@ def _run_bare(child: str) -> list[str]:
 
 def test_a_run_imports_no_unused_heavy_module():
     # a cold `symroot run` loads only what a run uses: dataclasses pulls in
-    # inspect, ast, dis and tokenize; json only serves --format json. The
-    # import loads none of them on any Python, the run none that argparse
-    # itself does not load for its parser
+    # inspect, ast, dis and tokenize; json only serves --format json, and
+    # random only verify's samples. The import loads none of them on any
+    # Python, the run none that argparse itself does not load for its parser
     after_import, *table, after_run = _run_bare(_IMPORT_GUARD_CHILD)
     assert after_import == ""
     assert "status: Converged" in table

@@ -24,7 +24,7 @@ from symroot import (
     rewrite,
     verify_commutation,
 )
-from symroot.counting import _UNROLL_MAX, _run, _runner, _step, _stepper, step_counts
+from symroot.counting import _UNROLL_MAX, _run, _runner, _step, step_counts
 from symroot.errors import DimensionMismatchError, IndexOutOfRangeError
 from symroot.polynomial import MonicPolynomial
 from symroot.rewriting import letter_text
@@ -190,29 +190,23 @@ step_ints = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(2**1000), 
 @settings(deadline=None)
 @given(st.data())
 def test_unrolled_step_matches_the_generic_step(data):
-    m = data.draw(st.integers(1, _UNROLL_MAX + 2))
+    # the loop kernel's unrolled rows at every degree it unrolls, and _run
+    # just past the cap: from x = nan one step meets stop = 1 and hands back
+    # _step's counts, whatever s and the pretest constant c
+    m = data.draw(st.integers(2, _UNROLL_MAX + 2))
+    s = data.draw(st.integers(0, m))
     a = tuple(data.draw(st.lists(step_ints, min_size=m, max_size=m)))
     n = tuple(data.draw(st.lists(step_ints, min_size=m, max_size=m)))
-    assert _stepper(m)(a, n) == _step(a, n)
+    c = data.draw(step_ints)
+    assert _runner(m, s)(a, n, math.nan, 0, 1, c, 0.0)[:3] == (1, n, _step(a, n))
 
 
-def test_stepper_is_built_once_per_degree_and_capped():
-    for m in range(1, _UNROLL_MAX + 3):
-        a = tuple((-1) ** i * (i + 1) for i in range(m))
-        n = tuple((2**1000 + i) * (-1) ** i if i % 3 else 0 for i in range(m))
-        assert _stepper(m)(a, n) == _step(a, n)
-        assert _stepper(m) is _stepper(m)
-        assert (_stepper(m) is _step) == (m > _UNROLL_MAX)
-
-
-def test_stepper_takes_no_coefficient_text():
+def test_runner_takes_no_coefficient_text():
     # a coefficient past CPython's 4300-digit int->str limit cannot be
-    # written into source, yet a freshly built kernel steps with it exactly:
-    # the step kernel's source depends on m alone, and the count loop's
-    # kernel's on m and s alone. From x = nan the loop's kernel hands back
-    # after one step, its counts _step's
+    # written into source, yet a freshly built loop kernel steps with it
+    # exactly: its source depends on m and s alone. From x = nan it hands
+    # back after one step, its counts _step's
     a, n = (10**5000, -(10**4400), 7), (3, -2, 10**4500)
-    assert _stepper.__wrapped__(3)(a, n) == _stepper(3)(a, n) == _step(a, n)
     for s in range(4):
         args = (a, n, math.nan, 0, 100, -(10**4600), 0.0)
         assert _runner.__wrapped__(3, s)(*args)[:3] == _run(s, *args)[:3] == (1, n, _step(a, n))
@@ -238,12 +232,14 @@ def test_runner_is_built_once_per_degree_and_s():
 def test_import_compiles_no_step_kernel():
     # site off (-S): importing the CLI builds no kernel, so a run's set-up
     # time does not carry one; the first run of a degree builds its count
-    # loop's kernel, and the replay of its history its step kernel
+    # loop's kernel, and the replay of its history, which runs _step, none
     child = (
         "import symroot.cli, symroot.counting as c\n"
-        "print(c._stepper.cache_info().currsize, c._runner.cache_info().currsize)\n"
-        "tuple(symroot.estimate_root(symroot.parse_polynomial('x^2 - x - 1')).history)\n"
-        "print(c._stepper.cache_info().currsize, c._runner.cache_info().currsize)\n"
+        "print(c._runner.cache_info().currsize)\n"
+        "r = symroot.estimate_root(symroot.parse_polynomial('x^2 - x - 1'))\n"
+        "print(c._runner.cache_info().currsize)\n"
+        "tuple(r.history)\n"
+        "print(c._runner.cache_info().currsize)\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", child],
@@ -253,4 +249,4 @@ def test_import_compiles_no_step_kernel():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0", "1", "1"]
+    assert done.stdout.split() == ["0", "1", "1"]

@@ -42,7 +42,6 @@ from symroot.estimation import (
     _settled,
     _sturm_sequence,
     _top_below,
-    _top_ratio,
     _top_within,
     _within,
 )
@@ -767,15 +766,16 @@ def boundary_vectors(draw):
 
 
 def _kernel_float(run, a, b):
-    # the float a count kernel reads for n_1/n_2 = a/b, or None if it has
-    # none: at m = 2 and s = 2 (no cycle pretest), one step from (1, b - 1)
-    # with coefficients (a - 1, 0) lands on (a, b); from an x of the other
-    # sign and 10^308 in size the filter passes it, and the next step meets
-    # stop, handing back the float of (a, b) as x_(k-1)
-    far = -1e308 if (a < 0) == (b < 0) else 1e308
-    k, prev, n, x = run((a - 1, 0), (1, b - 1), far, 0, 2, 0, 0.0)
-    assert (prev if k == 2 else n) == (a, b)
-    return x if k == 2 else None
+    # x_k, the float a count kernel reads for n_1/n_2 = a/b (nan if it has
+    # none): at m = 2 and s = 2 (no cycle pretest), one step from (1, b - 1)
+    # with coefficients (a - 1, 0) lands on (a, b) and meets stop = 1
+    k, prev, n, x_prev, x = run((a - 1, 0), (1, b - 1), math.nan, 0, 1, 0, 0.0)
+    assert (k, n) == (1, (a, b)) and math.isnan(x_prev)
+    return x
+
+
+def _same_float(x, y):
+    return x == y or math.isnan(x) and math.isnan(y)
 
 
 def _lands_on(run, w, x, tol_f):
@@ -795,20 +795,17 @@ _K = 3**700  # 1110 bits: past 2^1000, and short enough for an example's repr
 @example(((100, 1), (100 * _K + 1, _K), Fraction(1, _K)))  # one of each
 @example(((-256, 1), (-767, 3), Fraction(1, 3)))  # exactly tol apart, floats more than tol_f
 def test_float_filter_never_overrides_the_exact_settle_rule(case):
-    # settled counts: x_k = n_1/n_2 of the two sides is not certainly more
-    # than tol apart, whether read by _top_ratio or by a count kernel, which
-    # divides directly while |n_2| < 2^1000 and takes the top bits above;
-    # and a kernel step that lands on w from either float of u hands back
+    # settled counts: x_k = n_1/n_2 of the two sides, as a count kernel
+    # reads it (compiled or reference: divided directly while |n_2| < 2^1000,
+    # from the top bits above), is not certainly more than tol apart; and a
+    # kernel step that lands on w from u's float hands back
     u, w, tol = case
     tol_f = _float_tol(tol)
-    xu, xw = _top_ratio(u[0], u[1]), _top_ratio(w[0], w[1])
     if _settled(u, w, tol):
-        assert not (xu is not None and xw is not None and _certainly_apart(xu, xw, tol_f))
         for run in KERNELS_M2:
-            ku, kw = _kernel_float(run, *u[:2]), _kernel_float(run, *w[:2])
-            assert not (ku is not None and kw is not None and _certainly_apart(ku, kw, tol_f))
-            for x in (xu, ku):
-                assert _lands_on(run, w, math.nan if x is None else x, tol_f) == 1
+            xu, xw = _kernel_float(run, *u[:2]), _kernel_float(run, *w[:2])
+            assert not _certainly_apart(xu, xw, tol_f)
+            assert _lands_on(run, w, xu, tol_f) == 1
 
 
 def _full_width_settled(u, w, tol):
@@ -878,39 +875,29 @@ def wide_counts(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(wide_counts())
-def test_top_ratio_stays_within_the_proved_bound(n):
-    # _top_ratio(a, b), x_k's float, for every adjacent pair of counts of
-    # similar or unrelated sizes: None exactly on a zero b or past the
-    # double range, otherwise within (2^-53 + 2^-61)|X| + 2^-1074 of X = a/b,
-    # the error _certainly_apart's margin is proved to cover
+def test_kernel_float_stays_within_the_proved_bound(n):
+    # x_k, a count kernel's float of n_1/n_2 = a/b, compiled and reference
+    # alike, for every adjacent pair of counts of similar or unrelated sizes:
+    # nan exactly on a zero b or past the double range; the correctly rounded
+    # quotient while |b| < 2^1000 or either count has at most 64 bits; and
+    # otherwise within (2^-53 + 2^-61)|X| + 2^-1074 of X = a/b, the error
+    # _certainly_apart's margin is proved to cover
     rel, tiny = Fraction(1, 2**53) + Fraction(1, 2**61), Fraction(1, 2**1074)
     for a, b in zip(n, n[1:]):
-        x = _top_ratio(a, b)
+        got = [_kernel_float(run, a, b) for run in KERNELS_M2]
+        assert _same_float(*got)
+        x = got[0]
         if b == 0:
-            assert x is None
+            assert math.isnan(x)
             continue
         want = Fraction(a, b)
-        if x is None:
+        if abs(b) < 2**1000 or min(a.bit_length(), b.bit_length()) <= 64:
+            rounded = estimation._json_float(want)
+            assert _same_float(x, math.nan if rounded is None else rounded)
+        elif math.isnan(x):
             assert abs(want) > 2**1023
         else:
             assert abs(Fraction(x) - want) <= rel * abs(want) + tiny
-        if min(a.bit_length(), b.bit_length()) <= 64:
-            # divided exactly: the correctly rounded ratio, or None past it
-            assert x == estimation._json_float(want)
-
-
-@settings(max_examples=300, deadline=None)
-@given(wide_counts())
-def test_kernel_float_stays_within_the_proved_bound(n):
-    # a count kernel's float of n_1/n_2, compiled and reference alike: the
-    # correctly rounded quotient while |n_2| < 2^1000, _top_ratio's above,
-    # so within the bound that _certainly_apart's margin covers
-    for a, b in zip(n, n[1:]):
-        if abs(b) < 2**1000:
-            want = estimation._json_float(Fraction(a, b)) if b else None
-        else:
-            want = _top_ratio(a, b)
-        assert [_kernel_float(run, a, b) for run in KERNELS_M2] == [want, want]
 
 
 def _shifted(q):
@@ -924,11 +911,11 @@ def _shifted(q):
 def test_cycle_rule_fires_when_one_side_overflows():
     # q = mu (mu^2 - r mu + r^2) with r = 2^1100: the roots r e^(+-i pi/3)
     # of q' give v_4 = -r^3 v_1, so the cycle rule fires at k = 4, where
-    # n_1/n_2 is past the double range and x_4 None
+    # n_1/n_2 is past the double range and x_4 nan
     r = 2**1100
     p = _shifted([0, r * r, -r, 1])
     n = _iterate(p, 60, TOL)[2]
-    assert _top_ratio(n[0], n[1]) is None
+    assert all(math.isnan(_kernel_float(run, n[0], n[1])) for run in KERNELS_M2)
     assert _check_against_unbounded_rule(p) == (Status.NO_REAL_LIMIT, 4)
 
 
@@ -951,7 +938,7 @@ def test_float_filter_rejects_clearly_apart_ratios():
     # must not count as more than an infinite tol
     u, w, tol = (15 * 10**307, 1), (-15 * 10**307, 1), Fraction(10) ** 400
     assert _settled(u, w, tol)
-    assert not _certainly_apart(_top_ratio(*u), _top_ratio(*w), _float_tol(tol))
+    assert not _certainly_apart(1.5e308, -1.5e308, _float_tol(tol))
 
 
 @pytest.mark.parametrize(
@@ -1264,7 +1251,7 @@ def test_compiled_kernels_match_the_plain_loop(monkeypatch):
         def run(*args):
             got, want = compiled(*args), plain(*args)
             assert got[:3] == want[:3]
-            assert got[3] == want[3] or math.isnan(got[3]) and math.isnan(want[3])
+            assert _same_float(got[3], want[3]) and _same_float(got[4], want[4])
             n = got[2]
             seen.add(("s", s))
             seen.add(("zero n_2", n[1] == 0))
