@@ -11,9 +11,9 @@ precision; entries grow geometrically with iteration depth and that is fine.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, partial
+from functools import cache, partial, reduce
 from math import nan
-from operator import add, mul
+from operator import add, mul, or_
 
 from .errors import DimensionMismatchError, IndexOutOfRangeError, InvalidOptionError
 from .errors import NonIntegerCoefficientError
@@ -78,12 +78,12 @@ _UNROLL_MAX = 64
 def _rows(m: int) -> tuple[str, str, str]:
     # the source text of one unrolled count step at degree m: the names
     # "a0, ..., a(m-1)" and "n0, ..., n(m-1)", and the new counts
-    # "n0 + a0*n0 + ... + a(m-1)*n(m-1), n0 + n1, ..., n(m-2) + n(m-1)",
-    # each with no map, slice, sum or star. Every name and operator is
-    # written from the int m alone
+    # "a0*n0 + ... + a(m-1)*n(m-1), n0 + n1, ..., n(m-2) + n(m-1)", row 1
+    # for a0 = 1 + a_1, each with no map, slice, sum or star. Every name
+    # and operator is written from the int m alone
     a = [f"a{i}" for i in range(m)]
     n = [f"n{i}" for i in range(m)]
-    rows = [" + ".join(["n0", *map("{}*{}".format, a, n)]), *map("{} + {}".format, n, n[1:])]
+    rows = [" + ".join(map("{}*{}".format, a, n)), *map("{} + {}".format, n, n[1:])]
     return ", ".join(a), ", ".join(n), ", ".join(rows)
 
 
@@ -93,33 +93,58 @@ def _rows(m: int) -> tuple[str, str, str]:
 # 0.5 us at 1000 bits and 3.5 us at 15600, and the top-bit quotient 0.4-0.8
 # us at any size, so the shift pays only on long counts
 _DIRECT_BITS = 1000
+# strip the counts' common power of two every so many steps: a shift of a
+# negative big int costs several adds, so stripping every step costs more
+# than the bits it saves
+_STRIP_EVERY = 32
+# the s = 1 cycle pretest reads the float x_k while |c| < 2^_EXACT_FLOAT_BITS,
+# where every integer c is a double
+_EXACT_FLOAT_BITS = 53
 
 
 def _run(s, a, n, x, k, stop, c, tol_f):
     # the count loop's common step, at any degree: from v_k = n and x = x_k,
     # the float of n_1/n_2 (nan if it has none), step on while nothing but
     # the count step can happen at the new k, and return (k, v_(k-1), v_k,
-    # x_(k-1), x_k) at the first k where something might, for the loop to
-    # decide by its exact rules: k == stop; x_k is nan or not certainly more
-    # than tol_f from x_(k-1), by _certainly_apart's test, inline; or, for
-    # s < m, v_k passes the cycle pretest n_s == n_(s+1) c, c being entry
-    # s - 1 of v_s (for s = 0, entry m - 1 of e_1, which is 0). x_k is nan
-    # when n_2 = 0 or the quotient is past the double range; nan passes no
-    # comparison, so that step is handed back. Otherwise x_k is divided
-    # directly while |n_2| < 2^_DIRECT_BITS, correctly rounded. Above, both
-    # counts shift right by one amount t, so that the shorter keeps 64 bits
-    # (no shift if it has fewer, and then x_k is correctly rounded too), and
-    # int / int rounds the quotient correctly. A count c of 64 bits or more has |(c >> t) - c/2^t| < 1 <=
-    # 2^-63 |c/2^t| (>> floors, for either sign), and (1 + e)/(1 + f) with
+    # x_(k-1), x_k, shift) at the first k where something might, for the
+    # loop to decide by its exact rules: k == stop; x_k is nan or not
+    # certainly more than tol_f from x_(k-1), by _certainly_apart's test,
+    # inline; or, for s < m, v_k passes the cycle pretest n_s == n_(s+1) c,
+    # c being entry s - 1 of v_s (for s = 0, entry m - 1 of e_1, which is 0).
+    # Every _STRIP_EVERY steps, before its float, v_k drops the common power
+    # of two of its counts, and shift sums the bits dropped in this call,
+    # for the caller to put back; v_(k-1) is as it was before that strip.
+    # Every rule compares ratios or is homogeneous in v_k, so none sees a
+    # strip. x_k is nan when n_2 = 0 or the quotient is past the double
+    # range; nan passes no comparison, so that step is handed back.
+    # Otherwise x_k is divided directly while |n_2| < 2^_DIRECT_BITS,
+    # correctly rounded. Above, both counts shift right by one amount t, so
+    # that the shorter keeps 64 bits (no shift if it has fewer, and then x_k
+    # is correctly rounded too), and int / int rounds the quotient
+    # correctly. A count u of 64 bits or more has |(u >> t) - u/2^t| < 1 <=
+    # 2^-63 |u/2^t| (>> floors, for either sign), and (1 + e)/(1 + f) with
     # |e|, |f| < 2^-63 is within 2^-62 (1 + 2^-62) of 1. So x_k is within
     # 2^-53 relative, or 2^-1075 absolute if subnormal, of a quotient within
-    # 2^-61 relative of n_1/n_2, which _certainly_apart's proof covers. The
-    # compiled kernels of _runner keep this contract, and this is their
-    # reference
+    # 2^-61 relative of n_1/n_2, which _certainly_apart's proof covers. For
+    # s = 1 and |c| < 2^53 the pretest is x_k == c, with no product: a
+    # revisit of v_1 = (c, 1, 0, ..., 0) has n_1/n_2 = c exactly, a double,
+    # and x_k rounds to it. Divided directly, x_k is the correctly rounded
+    # c; from the top bits, the quotient is within 2^-62 (1 + 2^-62) |c| of
+    # c, less than half the gap from c to either neighbouring double, so it
+    # rounds to c too (c = 0 leaves n_1 = 0 and x_k = +-0). The compiled
+    # kernels of _runner keep this contract, and this is their reference
     hi = 1 << _DIRECT_BITS
+    near = s == 1 and -(1 << _EXACT_FLOAT_BITS) < c < 1 << _EXACT_FLOAT_BITS
+    shift = 0
     while True:
         prev, n = n, _step(a, n)
         k += 1
+        if not k % _STRIP_EVERY:
+            z = reduce(or_, n)
+            t = (z & -z).bit_length() - 1  # -1 for the zero vector, which keeps it
+            if t > 0:
+                n = tuple(v >> t for v in n)
+                shift += t
         try:
             if -hi < n[1] < hi:
                 y = n[0] / n[1]
@@ -129,24 +154,36 @@ def _run(s, a, n, x, k, stop, c, tol_f):
         except (ZeroDivisionError, OverflowError):
             y = nan
         if (k == stop or not abs(x - y) > tol_f + 2**-50 * (abs(x) + abs(y)) + 2**-1000
-                or s < len(n) and n[s - 1] == n[s] * c):
+                or (y == c if near else s < len(n) and n[s - 1] == n[s] * c)):
             break
         x = y
-    return k, prev, n, x, y
+    return k, prev, n, x, y, shift
 
 
 # _run's loop with the step of _rows inline and the counts in locals; the
-# template's fields are filled from ints alone
+# template's fields are filled from ints alone. Row 1 reads a0 as 1 + a_1, so
+# that it costs no add of n0
 _RUN_SOURCE = """\
 def run(a, n, x, k, stop, c, tol_f):
     {a}, = a
+    a0 += 1
     {n}, = n
     hi = 1 << {bits}
     lo = -hi
+    near = {near}
+    if near:
+        c = float(c)
+    shift = 0
     while True:
         {p} = {n}
         {n} = {rows}
         k += 1
+        if not k % {every}:
+            z = {union}
+            t = (z & -z).bit_length() - 1
+            if t > 0:
+                {n} = {stripped}
+                shift += t
         try:
             if lo < n1 < hi:
                 y = n0 / n1
@@ -158,7 +195,7 @@ def run(a, n, x, k, stop, c, tol_f):
         if k == stop or not abs(x - y) > tol_f + 2**-50 * (abs(x) + abs(y)) + 2**-1000{pretest}:
             break
         x = y
-    return k, ({p},), ({n},), x, y
+    return k, ({p},), ({n},), x, y, shift
 """
 
 
@@ -167,23 +204,33 @@ def _runner(m: int, s: int):
     # _run for degree m >= 2 and s, the multiplicity of -1 as a root of p
     # (0 <= s <= m), fetched once before the count loop: up to _UNROLL_MAX,
     # compiled once per (m, s) on first use from _RUN_SOURCE; above it, _run
-    # itself with s bound. (x-3)^2 (x+1)'s 20000 steps take about 10 ms in
-    # its kernel, half of what a call a step to each of the count step, the
-    # float and the settle filter takes (Python 3.11)
+    # itself with s bound. (x-3)^2 (x+1)'s 20000 steps take about 9 ms in
+    # its kernel, which hands back twice, at k = 1 and at the budget
+    # (Python 3.11)
     if m > _UNROLL_MAX:
         return partial(_run, s)
     a, n, rows = _rows(m)
+    near = "False"
     if s == 0:
         pretest = f" or not n{m - 1}"
+    elif s == 1:
+        # x_k == c while c is a double, n0 == n1 * c past that, as in _run
+        near = f"-{1 << _EXACT_FLOAT_BITS} < c < {1 << _EXACT_FLOAT_BITS}"
+        pretest = " or (y == c if near else n0 == n1 * c)"
     elif s < m:
         pretest = f" or n{s - 1} == n{s} * c"
     else:
         pretest = ""
+    names = n.split(", ")
     p = ", ".join(f"p{i}" for i in range(m))
+    union = " | ".join(names)
+    stripped = ", ".join(f"{x} >> t" for x in names)
     # exec is only ever handed the text of _rows and of ints, so no
     # coefficient or count text ever reaches it
     scope = {"nan": nan}
-    exec(_RUN_SOURCE.format(a=a, n=n, p=p, rows=rows, bits=_DIRECT_BITS, pretest=pretest), scope)
+    exec(_RUN_SOURCE.format(a=a, n=n, p=p, rows=rows, bits=_DIRECT_BITS, near=near,
+                            every=_STRIP_EVERY, union=union, stripped=stripped,
+                            pretest=pretest), scope)
     return scope["run"]
 
 

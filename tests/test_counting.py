@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -205,11 +206,14 @@ def test_runner_takes_no_coefficient_text():
     # a coefficient past CPython's 4300-digit int->str limit cannot be
     # written into source, yet a freshly built loop kernel steps with it
     # exactly: its source depends on m and s alone. From x = nan it hands
-    # back after one step, its counts _step's
+    # back after one step, its counts _step's and nothing stripped, with
+    # the pretest constant c past 2^53 (the exact s = 1 pretest) or not
     a, n = (10**5000, -(10**4400), 7), (3, -2, 10**4500)
-    for s in range(4):
-        args = (a, n, math.nan, 0, 100, -(10**4600), 0.0)
-        assert _runner.__wrapped__(3, s)(*args)[:3] == _run(s, *args)[:3] == (1, n, _step(a, n))
+    for s, c in itertools.product(range(4), (-(10**4600), 5)):
+        args = (a, n, math.nan, 0, 100, c, 0.0)
+        got, want = _runner.__wrapped__(3, s)(*args), _run(s, *args)
+        assert got[:3] == want[:3] == (1, n, _step(a, n))
+        assert got[5] == want[5] == 0
 
 
 def test_runner_is_built_once_per_degree_and_s():

@@ -768,9 +768,10 @@ def boundary_vectors(draw):
 def _kernel_float(run, a, b):
     # x_k, the float a count kernel reads for n_1/n_2 = a/b (nan if it has
     # none): at m = 2 and s = 2 (no cycle pretest), one step from (1, b - 1)
-    # with coefficients (a - 1, 0) lands on (a, b) and meets stop = 1
-    k, prev, n, x_prev, x = run((a - 1, 0), (1, b - 1), math.nan, 0, 1, 0, 0.0)
-    assert (k, n) == (1, (a, b)) and math.isnan(x_prev)
+    # with coefficients (a - 1, 0) lands on (a, b) and meets stop = 1, and
+    # strips nothing before k = 32
+    k, prev, n, x_prev, x, shift = run((a - 1, 0), (1, b - 1), math.nan, 0, 1, 0, 0.0)
+    assert (k, n, shift) == (1, (a, b), 0) and math.isnan(x_prev)
     return x
 
 
@@ -1091,7 +1092,7 @@ def revisits_to_v_s(draw):
     # factor, and with one whose root is a root of q' times a root of unity
     s = draw(st.integers(0, 3))
     f = _cyclotomic(draw(st.integers(1, 12)))
-    r = draw(st.sampled_from((1, 2, 3, -2)))
+    r = draw(st.sampled_from((1, 2, 3, -2, 2**200)))
     q = [0] * s + [x * r ** (len(f) - 1 - i) for i, x in enumerate(f)]
     if draw(st.booleans()):
         c = draw(st.sampled_from((r, -r, 2 * r, 1, -3)))
@@ -1106,6 +1107,78 @@ def test_cycle_rule_matches_unbounded_memory_on_revisits_to_v_s(p):
     # the coefficient strategies above rarely give p a root at -1, so s >= 1
     # is drawn here: a rule that compared v_k with v_0 alone would miss these
     _check_against_unbounded_rule(p)
+
+
+def _revisits_of_v_1(n, r, e):
+    # p(x) = q(x + 1) with q = mu Phi_n(mu / r) r^phi(n), times mu - e if e:
+    # s = 1, and with e = +-r or 0 every root of q' = q / mu is r times a
+    # root of unity, so some v_k revisits v_1, with counts near r^(k-1)
+    f = _cyclotomic(n)
+    q = [x * r ** (len(f) - 1 - i) for i, x in enumerate(f)]
+    if e:
+        q = [y - e * x for x, y in zip(q + [0], [0] + q)]
+    return _shifted([0, *q])
+
+
+@pytest.mark.parametrize(
+    "n, r, e, c, k",
+    [
+        (3, 1, 0, -3, 4),  # short counts: x_k divided directly
+        (20, 2**200, 0, -8, 11),  # 2000-bit counts: x_k from the top bits
+        (4, 2**53 + 2, 2**53 + 2, 2**53 - 1, 5),  # 212-bit counts, c just below 2^53
+        (20, 2**53 + 8, 2**53 + 8, 2**53 - 1, 21),  # 1060-bit counts, top bits
+        (20, 2**53 - 10, -(2**53 - 10), -(2**53) + 1, 21),
+        (20, 2**53 + 9, 2**53 + 9, 2**53, 21),  # |c| >= 2^53: the exact pretest
+        (20, 2**53 - 9, -(2**53 - 9), -(2**53), 21),
+        (20, 2**53 + 10, 2**53 + 10, 2**53 + 1, 21),  # c is no double
+        (4, 2**300, 2**300, 2**300 - 3, 5),
+    ],
+)
+def test_cycle_rule_finds_revisits_of_v_1_on_either_pretest(n, r, e, c, k):
+    # s = 1: while |c| < 2^53, c = 1 + a_1 = entry 0 of v_1, the kernels'
+    # cycle pretest is x_k == c, which the revisit's float must meet
+    # whether it was divided directly or from the top bits; past that, the
+    # exact n_1 == n_2 c. Each run stops at the revisit v_k = r^(k-1) v_1 or
+    # -r^(k-1) v_1, where the rule that keeps every direction stops
+    p = _revisits_of_v_1(n, r, e)
+    assert 1 + p.a[0] == c
+    assert _check_against_unbounded_rule(p) == (Status.NO_REAL_LIMIT, k)
+    v = _iterate(p, 60, TOL)[2]
+    assert abs(v[1]) == r ** (k - 1) and v[0] == c * v[1]
+    if abs(c) < 2**53:
+        assert all(_kernel_float(run, v[0], v[1]) == c for run in KERNELS_M2)
+
+
+def test_count_kernel_hands_back_only_where_a_rule_may_act(monkeypatch):
+    # the deep workload's polynomials at 20000 iterations: the kernel
+    # strips its own counts, so each step it hands back is s, the budget, a
+    # step the settle filter cannot rule out, or one that passes the cycle
+    # pretest; none is there for a strip. (x-3)^2 (x+1) hands back twice
+    seen = []
+
+    def counted(m, s):
+        kernel = counting._runner(m, s)
+
+        def run(a, n, x, k, stop, c, tol_f):
+            got = kernel(a, n, x, k, stop, c, tol_f)
+            k, _, n, x_prev, y, _ = got
+            if s == 1 and abs(c) < 2**53:
+                pretest = y == c
+            else:
+                pretest = s < m and n[s - 1] == n[s] * c
+            seen.append((k, k == stop or not _certainly_apart(x_prev, y, tol_f) or pretest))
+            return got
+
+        return run
+
+    monkeypatch.setattr(estimation, "_runner", counted)
+    for text in ("x^2 - 201x + 10100", "x^3 - 200x^2 + 9899x + 10100", "x^3 - 5x^2 + 3x + 9",
+                 "x^12 - x - 1"):
+        seen.clear()
+        _iterate(parse_polynomial(text), 20000, TOL)
+        assert all(why for _, why in seen), text
+        if text == "x^3 - 5x^2 + 3x + 9":
+            assert [k for k, _ in seen] == [1, 20000]
 
 
 def _check_replayed_history(p, max_iters, tol=TOL):
@@ -1231,9 +1304,11 @@ def test_compiled_kernels_match_the_plain_loop(monkeypatch):
     # a seeded sweep of _iterate, once on the plain _run at every degree and
     # once on the compiled kernels, each of whose calls is checked against
     # _run on the same arguments: the same (status, k, counts) and the same
-    # hand-backs. It covers s = 0..3 from (x+1)^s factors, budgets under 32
-    # and off multiples of 32, a zero n_2 (a_1 = -2 at k = 2), counts past
-    # the double range, DegenerateStart and NoRealLimit at v_s with s >= 1
+    # hand-backs and strips. It covers s = 0..3 from (x+1)^s factors,
+    # budgets under 32 and off multiples of 32, a zero n_2 (a_1 = -2 at
+    # k = 2), counts past the double range, DegenerateStart, NoRealLimit at
+    # v_s with s >= 1, and s = 1 revisits of v_1 on the float pretest
+    # (|1 + a_1| < 2^53) and on the exact one
     rng = random.Random(2025)
     polys = [
         from_coefficients(_times_x_plus_1([rng.randint(-3, 3) for _ in range(d)] + [1], s))
@@ -1243,6 +1318,7 @@ def test_compiled_kernels_match_the_plain_loop(monkeypatch):
     polys += [MonicPolynomial((-2, 3)), MonicPolynomial((-2, -1, 2)), MonicPolynomial((2**1100, 1))]
     polys += [parse_polynomial(t) for t in ("x^4 + 2x^2 - 3", "x^2 + x + 1", "x^2 - 201x + 10100",
                                             "x^3 - 5x^2 + 3x + 9")]
+    polys += [_revisits_of_v_1(20, r, r) for r in (2**53 + 8, 2**53 + 9)]
     seen = set()
 
     def checked(m, s):
@@ -1250,10 +1326,13 @@ def test_compiled_kernels_match_the_plain_loop(monkeypatch):
 
         def run(*args):
             got, want = compiled(*args), plain(*args)
-            assert got[:3] == want[:3]
+            assert got[:3] == want[:3] and got[5] == want[5]
             assert _same_float(got[3], want[3]) and _same_float(got[4], want[4])
             n = got[2]
             seen.add(("s", s))
+            seen.add(("stripped", got[5] > 0))
+            if s == 1 and got[0] < args[4] and n[0] == n[1] * args[5]:
+                seen.add(("s = 1 revisit, float pretest", abs(args[5]) < 2**53))
             seen.add(("zero n_2", n[1] == 0))
             seen.add(("past doubles", max(abs(x) for x in n).bit_length() > 1100))
             return got
@@ -1269,6 +1348,8 @@ def test_compiled_kernels_match_the_plain_loop(monkeypatch):
                 assert _iterate(p, max_iters, tol) == want
                 seen.add(want[0])
     assert {("s", s) for s in range(4)} | {("zero n_2", True), ("past doubles", True)} <= seen
+    assert {("stripped", True), ("s = 1 revisit, float pretest", True),
+            ("s = 1 revisit, float pretest", False)} <= seen
     assert set(Status) <= seen
     # one of the sweep's NoRealLimit runs is at v_s with s = 1: d_7 = d_1
     assert _iterate(parse_polynomial("x^4 + 2x^2 - 3"), 60, TOL)[:2] == (Status.NO_REAL_LIMIT, 7)
