@@ -475,18 +475,9 @@ def estimate_root(
 
     oracle_root = agreement = discrepancy = None
     if status is Status.CONVERGED and compare_oracle:
-        sturm = _sturm_sequence(p)
-        oracle_root = _largest_real_root(p, tol, sturm)
-        agreement = False  # with no real root, the estimate has none to agree with
+        oracle_root, agreement = _cross_check(p, final, tol)
         if oracle_root is not None:
-            # the oracle is within tol of the largest real root r, so
-            # r <= final + discrepancy + tol, the same Fraction as hi. Its
-            # sums take no gcd of two long denominators, as final +
-            # discrepancy would: 0.37 against 0.04 ms on (x-100)(x-101)'s
-            # 15600-bit final estimate (Python 3.11)
             discrepancy = abs(final - oracle_root)
-            hi = max(oracle_root, 2 * final - oracle_root) + tol
-            agreement = _nearest_is_largest(sturm, final, hi, _cauchy_bound(p))
     return ConvergenceReport(
         polynomial=p,
         status=status,
@@ -508,22 +499,6 @@ _SCAN_CHECK_EVERY = 1024
 # halvings of the window before the nearest-root test gives up; each costs a
 # few Sturm counts, and only runs that no cheaper test decides reach it
 _NEAREST_HALVINGS = 64
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_at(q: list[int], x) -> int:
-    # the sign of q(x), q's integer coefficients descending, x = a/b in
-    # lowest terms (b > 0): the sign of b^d q(a/b) = sum c_i a^(d-i) b^i, by
-    # homogeneous Horner with no Fraction to reduce
-    a, b = x.numerator, x.denominator
-    value, b_i = q[0], 1
-    for c in q[1:]:
-        b_i *= b
-        value = value * a + c * b_i
-    return _sign(value)
 
 
 def _cauchy_bound(p: MonicPolynomial) -> int:
@@ -601,56 +576,74 @@ def _primitive(q: list[int]) -> list[int]:
     return [c // g for c in q]
 
 
-def _variations(sturm: list[list[int]], x: Fraction) -> int:
-    # sign changes along the sequence at x, zeros skipped; from a to b > a it
-    # drops by the number of distinct roots of p in (a, b]. Each member's
-    # sign is _sign_at's, with the powers of x's denominator computed once
-    # for the point and shared by every member
+def _variations(sturm: list[list[int]], x: Fraction) -> tuple[int, bool]:
+    # (V(x), p(x) = 0) from one pass: V(x) counts sign changes along the
+    # sequence at x, zeros skipped, and drops from a to b > a by the distinct
+    # roots of p in (a, b]; p vanishes where its first member, p / gcd(p, p'),
+    # does. Member q of degree d at x = a/b (lowest terms, b > 0) is read as
+    # b^d q(a/b) = sum c_i a^(d-i) b^i, of q(x)'s sign, by homogeneous Horner
+    # with no Fraction to reduce, the powers of b shared by every member
     a, b = x.numerator, x.denominator
     b_pows = list(accumulate(repeat(b, len(sturm[0]) - 1), mul))
-    signs = []
+    values = []
     for q in sturm:
         value = q[0]
         for c, b_i in zip(q[1:], b_pows):
             value = value * a + c * b_i
-        if value:
-            signs.append(value > 0)
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _roots_in(sturm: list[list[int]], a: Fraction, b: Fraction) -> int:
-    # distinct roots of p in [a, b]
-    return _variations(sturm, a) - _variations(sturm, b) + (_sign_at(sturm[0], a) == 0)
+        values.append(value)
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:])), not values[0]
 
 
 def _nearest_is_largest(
-    sturm: list[list[int]], final: Fraction, hi: Fraction, top: Fraction
+    sturm: list[list[int]], final: Fraction, hi: Fraction, v_top: int
 ) -> bool:
     # True if the largest real root, r, is the real root nearest final, given
-    # r <= hi and top above every root. With no root above final, every other
-    # root lies below r <= final. Otherwise r lies in (final, hi], and a lower
-    # root is at least as near exactly when it lies at or above 2 final - r:
-    # bisect (lo, hi] on the count, keeping r in it; once r is the only root
-    # there, one in [2 final - lo, lo] is nearer and none in
-    # [2 final - hi, lo] proves none is. False if _NEAREST_HALVINGS halvings
-    # show neither, as they never do when two roots are equally near
-    v_top = _variations(sturm, top)
-    lo, v_lo = final, _variations(sturm, final)
-    if v_lo == v_top:
-        return True
+    # r <= hi and v_top = V(B), B above every root. With no root above final,
+    # every other root lies below r <= final. Otherwise r lies in (final, hi],
+    # and a lower root is at least as near exactly when it lies at or above
+    # 2 final - r: bisect (lo, hi] on the count, keeping r in it; once r is
+    # the only root there, one in [2 final - lo, lo] is nearer and none in
+    # [2 final - hi, lo] proves none is. Each window counts its roots as V at
+    # its left end, less V(lo), plus whether p vanishes there; while lo is
+    # final, the first window is final alone, which the first pass read.
+    # False if _NEAREST_HALVINGS halvings show neither, as they never do when
+    # two roots are equally near
+    lo, (v_lo, at_root) = final, _variations(sturm, final)
+    if v_lo == v_top or at_root:
+        return v_lo == v_top  # a root at final below r is nearer than r
     for _ in range(_NEAREST_HALVINGS):
         if v_lo - v_top == 1:
-            if _roots_in(sturm, 2 * final - lo, lo):
-                return False
-            if not _roots_in(sturm, 2 * final - hi, lo):
+            if lo != final:
+                v, zero = _variations(sturm, 2 * final - lo)
+                if v + zero > v_lo:
+                    return False
+            v, zero = _variations(sturm, 2 * final - hi)
+            if v + zero == v_lo:
                 return True
         mid = (lo + hi) / 2
-        v_mid = _variations(sturm, mid)
+        v_mid = _variations(sturm, mid)[0]
         if v_mid > v_top:
             lo, v_lo = mid, v_mid
         else:
             hi = mid
     return False
+
+
+def _cross_check(
+    p: MonicPolynomial, final: Fraction, tol: Fraction
+) -> tuple[Fraction | None, bool]:
+    # the oracle's root, within tol of the largest real root r, and whether r
+    # is the real root nearest final, from one Sturm chain and one V(B). hi is
+    # final + |final - root| + tol >= r, summed with no gcd of two long
+    # denominators (0.04 against 0.37 ms on close_pair's 15600-bit final)
+    sturm = _sturm_sequence(p)
+    v_top = _variations(sturm, _cauchy_bound(p))[0]
+    root = _largest_real_root(p, tol, sturm, v_top)
+    if root is None:
+        return None, False  # with no real root, final has none to agree with
+    hi = max(root, 2 * final - root) + tol
+    return root, _nearest_is_largest(sturm, final, hi, v_top)
 
 
 def oracle_largest_real_root(p: MonicPolynomial, precision) -> Fraction | None:
@@ -673,11 +666,13 @@ def oracle_largest_real_root(p: MonicPolynomial, precision) -> Fraction | None:
     in one cell, a root of even multiplicity, or a root right of a grid zero).
     A midpoint that is the largest root is returned exactly.
     """
-    return _largest_real_root(p, _positive(precision, "precision"), _sturm_sequence(p))
+    precision = _positive(precision, "precision")
+    sturm = _sturm_sequence(p)
+    return _largest_real_root(p, precision, sturm, _variations(sturm, _cauchy_bound(p))[0])
 
 
 def _largest_real_root(
-    p: MonicPolynomial, precision: Fraction, sturm: list[list[int]]
+    p: MonicPolynomial, precision: Fraction, sturm: list[list[int]], v_top: int
 ) -> Fraction | None:
     if p.degree == 1:
         return Fraction(p.a[0])
@@ -693,7 +688,9 @@ def _largest_real_root(
     start = min(math.floor((_root_bound(p) + bound) / step) + 1, _GRID_CELLS)
     hi = Fraction(-bound) + step * start
     top = Fraction(bound)
-    v_bottom = None  # V(-B), counted at the first checkpoint the scan reaches
+    # (V(-B), False), read at the first checkpoint the scan reaches; p(lo) > 0
+    # at every checkpoint, so the pairs there are equal when the counts are
+    v_bottom = None
     for t in range(start - 1, -1, -1):
         lo = Fraction(-bound) + step * t
         flo = p.eval_at(lo)
@@ -711,8 +708,7 @@ def _largest_real_root(
                 flo = p.eval_at(lo)
                 break
         hi = lo
-    v_top = _variations(sturm, top)
-    right = _variations(sturm, lo) - v_top  # distinct roots in (lo, B]
+    right = _variations(sturm, lo)[0] - v_top  # distinct roots in (lo, B]
     if right == 0:
         return lo if flo == 0 else None
     if flo >= 0 or right > 1:
@@ -722,13 +718,14 @@ def _largest_real_root(
         # multiplicity only) the largest root lies somewhere in (lo, B]
         hi = top
     # bisect on the count, keeping the largest root in (lo, hi]: a root lies
-    # above mid exactly when V(mid) > V(B), and with none above, p(mid) = 0
-    # makes mid the root
+    # above mid exactly when V(mid) > v_top = V(B), and with none above,
+    # p(mid) = 0, read in the same pass, makes mid the root
     while hi - lo > 2 * precision:
         mid = (lo + hi) / 2
-        if _variations(sturm, mid) > v_top:
+        v_mid, at_root = _variations(sturm, mid)
+        if v_mid > v_top:
             lo = mid
-        elif _sign_at(sturm[0], mid) == 0:
+        elif at_root:
             return mid
         else:
             hi = mid

@@ -38,11 +38,11 @@ from symroot.estimation import (
     _nearest_is_largest,
     _profile_agrees,
     _root_bound,
-    _roots_in,
     _settled,
     _sturm_sequence,
     _top_below,
     _top_within,
+    _variations,
     _within,
 )
 from symroot.polynomial import MonicPolynomial
@@ -382,6 +382,26 @@ def test_sturm_members_are_primitive_integer_polynomials():
     assert sum(c.bit_length() for q in _sturm_sequence(p48) for c in q) < 10**6
 
 
+def test_cross_check_reads_each_sturm_point_once(monkeypatch):
+    # the oracle and the agreement rule share one count at B, the oracle's
+    # bisection reads p(mid) = 0 off the count at mid, and each agreement
+    # window is counted at its left end alone: 18 passes at 18 distinct
+    # points on the seeded dense degree-48 polynomial (Converged at tol
+    # 10^-6, agreement False)
+    p = _dense_polys(random.Random(3), (24, 48))[1]
+    points = []
+
+    def counted(sturm, x):
+        points.append(x)
+        return _variations(sturm, x)
+
+    monkeypatch.setattr(estimation, "_variations", counted)
+    rep = estimate_root(p, tol=Fraction(1, 10**6), max_iters=5000)
+    assert rep.status is Status.CONVERGED and rep.oracle_agreement is False
+    assert points.count(_cauchy_bound(p)) == 1
+    assert len(points) <= 18 and len(set(points)) == len(points)
+
+
 def _close_pair_sample():
     # (x - a)^2 - c, roots a +- sqrt c, c in 1..3: the grid step is about
     # a^2 / 4096, so past |a| = 64 both roots share a cell or two; a third
@@ -564,7 +584,11 @@ def test_sturm_count_is_exact_at_repeated_roots_and_endpoints(case, a, width):
     want = len({r for r in roots if a <= r <= b})
     if k:
         want += _sqrt_in(c, a, b) + _sqrt_in(c, -b, -a)
-    assert _roots_in(_sturm_sequence(from_coefficients(coeffs)), a, b) == want
+    p = from_coefficients(coeffs)
+    sturm = _sturm_sequence(p)
+    (v_a, zero_a), (v_b, zero_b) = _variations(sturm, a), _variations(sturm, b)
+    assert v_a - v_b + zero_a == want
+    assert zero_a == (p.eval_at(a) == 0) and zero_b == (p.eval_at(b) == 0)
 
 
 @pytest.mark.parametrize(
@@ -635,9 +659,10 @@ def test_equally_near_roots_do_not_agree():
     # (x-1)(x-2): 3/2 is as near 1 as 2, and 8/5 is nearer 2; the window
     # (3/2, 2] ends on 2 itself, so the tie is not hidden by the bisection
     sturm = _sturm_sequence(parse_polynomial("x^2 - 3x + 2"))
+    v_top = _variations(sturm, Fraction(4))[0]
     for hi in (Fraction(2), Fraction(5, 2)):
-        assert _nearest_is_largest(sturm, Fraction(3, 2), hi, Fraction(4)) is False
-        assert _nearest_is_largest(sturm, Fraction(8, 5), hi, Fraction(4)) is True
+        assert _nearest_is_largest(sturm, Fraction(3, 2), hi, v_top) is False
+        assert _nearest_is_largest(sturm, Fraction(8, 5), hi, v_top) is True
 
 
 def test_oracle_picks_rightmost_root():
