@@ -102,7 +102,7 @@ _STRIP_EVERY = 32
 _EXACT_FLOAT_BITS = 53
 
 
-def _run(s, a, n, x, k, stop, c, tol_f):
+def _run(s, strip, a, n, x, k, stop, c, tol_f):
     # the count loop's common step, at any degree: from v_k = n and x = x_k,
     # the float of n_1/n_2 (nan if it has none), step on while nothing but
     # the count step can happen at the new k, and return (k, v_(k-1), v_k,
@@ -111,12 +111,14 @@ def _run(s, a, n, x, k, stop, c, tol_f):
     # certainly more than tol_f from x_(k-1), by _certainly_apart's test,
     # inline; or, for s < m, v_k passes the cycle pretest n_s == n_(s+1) c,
     # c being entry s - 1 of v_s (for s = 0, entry m - 1 of e_1, which is 0).
-    # Every _STRIP_EVERY steps, before its float, v_k drops the common power
-    # of two of its counts, and shift sums the bits dropped in this call,
-    # for the caller to put back; v_(k-1) is as it was before that strip.
-    # Every rule compares ratios or is homogeneous in v_k, so none sees a
-    # strip. x_k is nan when n_2 = 0 or the quotient is past the double
-    # range; nan passes no comparison, so that step is handed back.
+    # If strip, every _STRIP_EVERY steps, before its float, v_k drops the
+    # common power of two of its counts, and shift sums the bits dropped in
+    # this call, for the caller to put back; v_(k-1) is as it was before
+    # that strip. Every rule compares ratios or is homogeneous in v_k, so
+    # none sees a strip; the caller asks for it only where some v_k can be
+    # all even (estimation._iterate). x_k is nan when n_2 = 0 or the
+    # quotient is past the double range; nan passes no comparison, so that
+    # step is handed back.
     # Otherwise x_k is divided directly while |n_2| < 2^_DIRECT_BITS,
     # correctly rounded. Above, both counts shift right by one amount t, so
     # that the shorter keeps 64 bits (no shift if it has fewer, and then x_k
@@ -139,7 +141,7 @@ def _run(s, a, n, x, k, stop, c, tol_f):
     while True:
         prev, n = n, _step(a, n)
         k += 1
-        if not k % _STRIP_EVERY:
+        if strip and not k % _STRIP_EVERY:
             z = reduce(or_, n)
             t = (z & -z).bit_length() - 1  # -1 for the zero vector, which keeps it
             if t > 0:
@@ -162,7 +164,8 @@ def _run(s, a, n, x, k, stop, c, tol_f):
 
 # _run's loop with the step of _rows inline and the counts in locals; the
 # template's fields are filled from ints alone. Row 1 reads a0 as 1 + a_1, so
-# that it costs no add of n0
+# that it costs no add of n0. {strip} is _STRIP_SOURCE for a kernel that
+# strips and empty for one that does not, whose shift stays 0
 _RUN_SOURCE = """\
 def run(a, n, x, k, stop, c, tol_f):
     {a}, = a
@@ -178,13 +181,7 @@ def run(a, n, x, k, stop, c, tol_f):
         {p} = {n}
         {n} = {rows}
         k += 1
-        if not k % {every}:
-            z = {union}
-            t = (z & -z).bit_length() - 1
-            if t > 0:
-                {n} = {stripped}
-                shift += t
-        try:
+{strip}        try:
             if lo < n1 < hi:
                 y = n0 / n1
             else:
@@ -197,18 +194,26 @@ def run(a, n, x, k, stop, c, tol_f):
         x = y
     return k, ({p},), ({n},), x, y, shift
 """
+_STRIP_SOURCE = """\
+        if not k % {every}:
+            z = {union}
+            t = (z & -z).bit_length() - 1
+            if t > 0:
+                {n} = {stripped}
+                shift += t
+"""
 
 
 @cache
-def _runner(m: int, s: int):
-    # _run for degree m >= 2 and s, the multiplicity of -1 as a root of p
-    # (0 <= s <= m), fetched once before the count loop: up to _UNROLL_MAX,
-    # compiled once per (m, s) on first use from _RUN_SOURCE; above it, _run
-    # itself with s bound. (x-3)^2 (x+1)'s 20000 steps take about 9 ms in
-    # its kernel, which hands back twice, at k = 1 and at the budget
-    # (Python 3.11)
+def _runner(m: int, s: int, strip: bool):
+    # _run for degree m >= 2, s, the multiplicity of -1 as a root of p
+    # (0 <= s <= m), and whether the counts are stripped, fetched once before
+    # the count loop: up to _UNROLL_MAX, compiled once per (m, s, strip) on
+    # first use from _RUN_SOURCE; above it, _run itself with s and strip
+    # bound. (x-3)^2 (x+1)'s 20000 steps take about 9 ms in its kernel,
+    # which hands back twice, at k = 1 and at the budget (Python 3.11)
     if m > _UNROLL_MAX:
-        return partial(_run, s)
+        return partial(_run, s, strip)
     a, n, rows = _rows(m)
     near = "False"
     if s == 0:
@@ -223,14 +228,15 @@ def _runner(m: int, s: int):
         pretest = ""
     names = n.split(", ")
     p = ", ".join(f"p{i}" for i in range(m))
-    union = " | ".join(names)
-    stripped = ", ".join(f"{x} >> t" for x in names)
+    stripping = ""
+    if strip:
+        stripping = _STRIP_SOURCE.format(every=_STRIP_EVERY, union=" | ".join(names), n=n,
+                                         stripped=", ".join(f"{x} >> t" for x in names))
     # exec is only ever handed the text of _rows and of ints, so no
     # coefficient or count text ever reaches it
     scope = {"nan": nan}
     exec(_RUN_SOURCE.format(a=a, n=n, p=p, rows=rows, bits=_DIRECT_BITS, near=near,
-                            every=_STRIP_EVERY, union=union, stripped=stripped,
-                            pretest=pretest), scope)
+                            strip=stripping, pretest=pretest), scope)
     return scope["run"]
 
 

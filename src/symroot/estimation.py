@@ -360,18 +360,20 @@ def _iterate(
     # (nan if n_2 = 0 or past the double range, as at v_0 = e_1, and no
     # comparison passes on nan). The settle rule needs pair 0 within tol, so
     # x_(k-1) and x_k certainly apart rule it out; only the steps they cannot
-    # decide reach _settled, which decides on the counts. The loop carries
-    # v_k / 2^shift, v_k over the common power of two of its counts, which
-    # the kernel strips every counting._STRIP_EVERY steps, and hands back
-    # the raw v_k once, on return. No decision changes: the step is linear;
-    # _profile_agrees, _settled and the cycle rule's identity compare ratios
-    # or are homogeneous in v_k, so each is blind to its scale. When
-    # R = I + C(p) is nilpotent mod 2, as when p = (x+1)^m mod 2, the counts
-    # gain a factor 2 at least every m steps: (x-3)^2 (x+1) gains 2 bits a
-    # step, and by step 20000 39996 of its 40014 bits are the common power
-    # of two. The steps where no rule can act, nearly all of them, run in
-    # the kernel of _runner for (m, s), fetched once before the loop: it
-    # steps, strips, reads its own float of x_k and hands back v_(k-1), v_k,
+    # decide reach _settled, which decides on the counts. When p = (x+1)^m
+    # mod 2, the loop carries v_k / 2^shift, v_k over the common power of
+    # two of its counts, which the kernel strips every
+    # counting._STRIP_EVERY steps, and hands back the raw v_k once, on
+    # return. No decision changes: the step is linear; _profile_agrees,
+    # _settled and the cycle rule's identity compare ratios or are
+    # homogeneous in v_k, so each is blind to its scale. Only then is
+    # R = I + C(p) nilpotent mod 2, and the counts gain a factor 2 at least
+    # every m steps: (x-3)^2 (x+1) gains 2 bits a step, and by step 20000
+    # 39996 of its 40014 bits are the common power of two. For any other p
+    # no v_k is all even (see strip below), so its kernel has no strip. The
+    # steps where no rule can act, nearly all of them, run in the kernel of
+    # _runner for (m, s, strip), fetched once before the loop: it steps,
+    # strips if asked, reads its own float of x_k and hands back v_(k-1), v_k,
     # x_(k-1), x_k and the bits it stripped at the first k that the settle
     # filter cannot rule out, that passes the cycle pretest below, that is s
     # or that is max_iters; the loop decides that k here
@@ -398,7 +400,13 @@ def _iterate(
     c, s = [1, *(-x for x in a)], 0
     while not (c := list(accumulate(c, lambda b, x: x - b)))[-1]:
         c, s = c[:-1], s + 1
-    run = _runner(m, s)
+    # e_1 is a cyclic vector of R over F_2 too, so some v_k is all even
+    # exactly when q divides mu^k mod 2: when q = mu^m mod 2, that is p =
+    # (x+1)^m mod 2. p's coefficient of x^(m-i), -a_i, must then be odd
+    # exactly when C(m, i) is, which is when i & m == i (Lucas). For any
+    # other p a strip would never find a bit to drop
+    strip = all(x % 2 == (i & m == i) for i, x in enumerate(a, 1))
+    run = _runner(m, s, strip)
     prev = v_s = None
     x_prev = x = math.nan  # no float before v_0, nor of v_0
     k = shift = 0
@@ -499,6 +507,10 @@ _SCAN_CHECK_EVERY = 1024
 # halvings of the window before the nearest-root test gives up; each costs a
 # few Sturm counts, and only runs that no cheaper test decides reach it
 _NEAREST_HALVINGS = 64
+# a Sturm count at a point whose denominator passes twice this many bits is
+# first read at the two multiples of 2^-e around it with about this many
+# bits, e = _BRACKET_BITS less the bits of its integer part (_variations)
+_BRACKET_BITS = 64
 
 
 def _cauchy_bound(p: MonicPolynomial) -> int:
@@ -577,13 +589,34 @@ def _primitive(q: list[int]) -> list[int]:
 
 
 def _variations(sturm: list[list[int]], x: Fraction) -> tuple[int, bool]:
-    # (V(x), p(x) = 0) from one pass: V(x) counts sign changes along the
-    # sequence at x, zeros skipped, and drops from a to b > a by the distinct
-    # roots of p in (a, b]; p vanishes where its first member, p / gcd(p, p'),
-    # does. Member q of degree d at x = a/b (lowest terms, b > 0) is read as
-    # b^d q(a/b) = sum c_i a^(d-i) b^i, of q(x)'s sign, by homogeneous Horner
-    # with no Fraction to reduce, the powers of b shared by every member
+    # (V(x), p(x) = 0): V(x) counts sign changes along the sequence at x,
+    # zeros skipped, and drops from a to b > a by the distinct roots of p in
+    # (a, b]; p vanishes where its first member, p / gcd(p, p'), does. A
+    # point whose denominator passes 2 _BRACKET_BITS bits, such as a deep
+    # run's estimate, is first bracketed by lo < x < hi, the multiples of
+    # 2^-e next to it, e = _BRACKET_BITS less the bits of x's integer part,
+    # so that lo and hi carry at most about _BRACKET_BITS significant bits.
+    # x is never lo: its denominator, in lowest terms, would divide 2^e <=
+    # 2^64.
+    # V(lo) = V(hi) shows that no root lies in (lo, hi], so none at x and
+    # V(x) = V(hi), from two short reads. Only when a root lies in the
+    # bracket is x read at full width
     a, b = x.numerator, x.denominator
+    if b.bit_length() > 2 * _BRACKET_BITS:
+        e = _BRACKET_BITS - (abs(a) // b).bit_length()
+        f = max(e, 0)  # lo = n 2^-e as an integer over 2^f: n shifted when e < 0
+        n = (a << f) // (b << (f - e))
+        v_hi = _variations_at(sturm, (n + 1) << (f - e), 1 << f)
+        if _variations_at(sturm, n << (f - e), 1 << f)[0] == v_hi[0]:
+            return v_hi
+    return _variations_at(sturm, a, b)
+
+
+def _variations_at(sturm: list[list[int]], a: int, b: int) -> tuple[int, bool]:
+    # (V, p = 0) at a/b, b > 0, in one pass. Member q of degree d is read
+    # as b^d q(a/b) = sum c_i a^(d-i) b^i, of q(a/b)'s sign, by homogeneous
+    # Horner with no Fraction to reduce, the powers of b shared by every
+    # member; a/b need not be in lowest terms
     b_pows = list(accumulate(repeat(b, len(sturm[0]) - 1), mul))
     values = []
     for q in sturm:
@@ -688,9 +721,11 @@ def _largest_real_root(
     start = min(math.floor((_root_bound(p) + bound) / step) + 1, _GRID_CELLS)
     hi = Fraction(-bound) + step * start
     top = Fraction(bound)
-    # (V(-B), False), read at the first checkpoint the scan reaches; p(lo) > 0
-    # at every checkpoint, so the pairs there are equal when the counts are
-    v_bottom = None
+    # the counts read so far, by point: V(-B), read at the first checkpoint
+    # the scan reaches, and every checkpoint's, which the scan's end and the
+    # bisection's first midpoints can meet again. p(lo) > 0 at every
+    # checkpoint, so the pairs there are equal when the counts are
+    seen = {}
     for t in range(start - 1, -1, -1):
         lo = Fraction(-bound) + step * t
         flo = p.eval_at(lo)
@@ -701,14 +736,15 @@ def _largest_real_root(
             # stays positive down to -B, so the scan would end there without
             # a break. Take that end state now (hi is read only after a
             # break on p(lo) < 0)
-            if v_bottom is None:
-                v_bottom = _variations(sturm, -bound)
-            if _variations(sturm, lo) == v_bottom:
+            if not seen:
+                seen[-bound] = _variations(sturm, -bound)
+            seen[lo] = _variations(sturm, lo)
+            if seen[lo] == seen[-bound]:
                 lo = Fraction(-bound)
                 flo = p.eval_at(lo)
                 break
         hi = lo
-    right = _variations(sturm, lo)[0] - v_top  # distinct roots in (lo, B]
+    right = (seen.get(lo) or _variations(sturm, lo))[0] - v_top  # distinct roots in (lo, B]
     if right == 0:
         return lo if flo == 0 else None
     if flo >= 0 or right > 1:
@@ -722,7 +758,7 @@ def _largest_real_root(
     # p(mid) = 0, read in the same pass, makes mid the root
     while hi - lo > 2 * precision:
         mid = (lo + hi) / 2
-        v_mid, at_root = _variations(sturm, mid)
+        v_mid, at_root = seen.get(mid) or _variations(sturm, mid)
         if v_mid > v_top:
             lo = mid
         elif at_root:

@@ -193,44 +193,46 @@ step_ints = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-(2**1000), 
 def test_unrolled_step_matches_the_generic_step(data):
     # the loop kernel's unrolled rows at every degree it unrolls, and _run
     # just past the cap: from x = nan one step meets stop = 1 and hands back
-    # _step's counts, whatever s and the pretest constant c
+    # _step's counts, whatever s, the strip and the pretest constant c
     m = data.draw(st.integers(2, _UNROLL_MAX + 2))
     s = data.draw(st.integers(0, m))
+    strip = data.draw(st.booleans())
     a = tuple(data.draw(st.lists(step_ints, min_size=m, max_size=m)))
     n = tuple(data.draw(st.lists(step_ints, min_size=m, max_size=m)))
     c = data.draw(step_ints)
-    assert _runner(m, s)(a, n, math.nan, 0, 1, c, 0.0)[:3] == (1, n, _step(a, n))
+    assert _runner(m, s, strip)(a, n, math.nan, 0, 1, c, 0.0)[:3] == (1, n, _step(a, n))
 
 
 def test_runner_takes_no_coefficient_text():
     # a coefficient past CPython's 4300-digit int->str limit cannot be
     # written into source, yet a freshly built loop kernel steps with it
-    # exactly: its source depends on m and s alone. From x = nan it hands
-    # back after one step, its counts _step's and nothing stripped, with
-    # the pretest constant c past 2^53 (the exact s = 1 pretest) or not
+    # exactly: its source depends on m, s and the strip alone. From x = nan
+    # it hands back after one step, its counts _step's and nothing stripped,
+    # with the pretest constant c past 2^53 (the exact s = 1 pretest) or not
     a, n = (10**5000, -(10**4400), 7), (3, -2, 10**4500)
-    for s, c in itertools.product(range(4), (-(10**4600), 5)):
+    for s, c, strip in itertools.product(range(4), (-(10**4600), 5), (False, True)):
         args = (a, n, math.nan, 0, 100, c, 0.0)
-        got, want = _runner.__wrapped__(3, s)(*args), _run(s, *args)
+        got, want = _runner.__wrapped__(3, s, strip)(*args), _run(s, strip, *args)
         assert got[:3] == want[:3] == (1, n, _step(a, n))
         assert got[5] == want[5] == 0
 
 
 def test_runner_is_built_once_per_degree_and_s():
-    # one compiled kernel per (m, s) up to _UNROLL_MAX, each built on its
-    # first use and reused after; above it, _run with s bound
+    # one compiled kernel per (m, s, strip) up to _UNROLL_MAX, each built on
+    # its first use and reused after; above it, _run with s and strip bound
     _runner.cache_clear()
-    keys = [(m, s) for m in (2, 3, 5, _UNROLL_MAX) for s in range(m + 1)]
-    kernels = [_runner(m, s) for m, s in keys]
+    keys = [(m, s, strip) for m in (2, 3, 5, _UNROLL_MAX) for s in range(m + 1)
+            for strip in (False, True)]
+    kernels = [_runner(*key) for key in keys]
     assert _runner.cache_info().currsize == len(keys)
-    assert [_runner(m, s) for m, s in keys] == kernels
+    assert [_runner(*key) for key in keys] == kernels
     assert _runner.cache_info().currsize == len(keys)
     assert len({id(f) for f in kernels}) == len(keys)
     assert all(f.__name__ == "run" for f in kernels)
-    for s in range(3):
-        f = _runner(_UNROLL_MAX + 1, s)
-        assert (f.func, f.args) == (_run, (s,))
-        assert _runner(_UNROLL_MAX + 1, s) is f
+    for s, strip in itertools.product(range(3), (False, True)):
+        f = _runner(_UNROLL_MAX + 1, s, strip)
+        assert (f.func, f.args) == (_run, (s, strip))
+        assert _runner(_UNROLL_MAX + 1, s, strip) is f
 
 
 def test_import_compiles_no_step_kernel():

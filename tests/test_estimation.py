@@ -30,6 +30,7 @@ from symroot import counting, estimation
 from symroot.counting import _run, _runner, step_counts
 from symroot.errors import DegreeTooSmallError, InvalidOptionError, SymrootError
 from symroot.estimation import (
+    _BRACKET_BITS,
     _below,
     _cauchy_bound,
     _certainly_apart,
@@ -384,10 +385,14 @@ def test_sturm_members_are_primitive_integer_polynomials():
 
 def test_cross_check_reads_each_sturm_point_once(monkeypatch):
     # the oracle and the agreement rule share one count at B, the oracle's
-    # bisection reads p(mid) = 0 off the count at mid, and each agreement
-    # window is counted at its left end alone: 18 passes at 18 distinct
-    # points on the seeded dense degree-48 polynomial (Converged at tol
-    # 10^-6, agreement False)
+    # bisection reads p(mid) = 0 off the count at mid, each agreement
+    # window is counted at its left end alone, and a scan that a checkpoint
+    # ends at -B reuses V(-B) and the checkpoints' counts, which the
+    # bisection from (-B, B) meets again as its first midpoints. 18 passes
+    # at 18 distinct points on the seeded dense degree-48 polynomial
+    # (Converged at tol 10^-6, agreement False); close_pair's 20000-step run
+    # ends its scan at the checkpoint x = 0, and the oracle on x^2 + 1, with
+    # no real root, at V(0) = V(-B)
     p = _dense_polys(random.Random(3), (24, 48))[1]
     points = []
 
@@ -400,6 +405,15 @@ def test_cross_check_reads_each_sturm_point_once(monkeypatch):
     assert rep.status is Status.CONVERGED and rep.oracle_agreement is False
     assert points.count(_cauchy_bound(p)) == 1
     assert len(points) <= 18 and len(set(points)) == len(points)
+    points.clear()
+    p = parse_polynomial("x^2 - 201x + 10100")
+    rep = estimate_root(p, max_iters=20000)
+    assert rep.status is Status.CONVERGED and rep.oracle_agreement is True
+    assert 0 in points and -_cauchy_bound(p) in points
+    assert len(set(points)) == len(points)
+    points.clear()
+    assert oracle_largest_real_root(parse_polynomial("x^2 + 1"), TOL) is None
+    assert len(points) == 3 and len(set(points)) == 3
 
 
 def _close_pair_sample():
@@ -589,6 +603,85 @@ def test_sturm_count_is_exact_at_repeated_roots_and_endpoints(case, a, width):
     (v_a, zero_a), (v_b, zero_b) = _variations(sturm, a), _variations(sturm, b)
     assert v_a - v_b + zero_a == want
     assert zero_a == (p.eval_at(a) == 0) and zero_b == (p.eval_at(b) == 0)
+
+
+def _full_width_variations(sturm, x):
+    # (V(x), p(x) = 0) read at x itself, as every point was read before the
+    # bracket: member q of degree d at x = a/b as b^d q(a/b) by homogeneous
+    # Horner, the powers of b shared by every member
+    a, b = x.numerator, x.denominator
+    b_pows = list(itertools.accumulate(itertools.repeat(b, len(sturm[0]) - 1), operator.mul))
+    values = []
+    for q in sturm:
+        value = q[0]
+        for c, b_i in zip(q[1:], b_pows):
+            value = value * a + c * b_i
+        values.append(value)
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:])), not values[0]
+
+
+@st.composite
+def sturm_chains_and_points(draw):
+    # p = (x - r_1)...(x - r_k) (x^2 - c) times a small monic factor,
+    # repeated roots too, and one point: a rational with a long
+    # denominator, of any size from near 0 to past 2^64; a dyadic whose
+    # denominator 2^j is short, at the bracket's threshold or past it; a
+    # point within 2^-70 of one of the r_i or of +-sqrt(c) (known to
+    # 2^-400), so that a bracket of width 2^-64 or less often holds it; or
+    # a long integer
+    roots = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=4))
+    c = draw(st.sampled_from((2, 3, 5, 10, 4)))
+    factor = draw(st.lists(st.integers(-5, 5), max_size=2)) + [1]
+    p = from_coefficients(_times(_times(_from_roots(roots), [-c, 0, 1]), factor))
+    kind = draw(st.sampled_from(("long", "dyadic", "near a root", "integer")))
+    if kind == "long":
+        den = draw(st.integers(2, 2**400))
+        x = Fraction(draw(st.integers(-50 * den, 50 * den)), den) * 2 ** draw(st.integers(0, 120))
+    elif kind == "dyadic":
+        j = draw(st.integers(_BRACKET_BITS - 8, 3 * _BRACKET_BITS))
+        x = Fraction(draw(st.integers(-(50 << j), 50 << j)) | 1, 1 << j)
+    elif kind == "near a root":
+        sqrt_c = Fraction(math.isqrt(c << 800), 2**400)
+        root = draw(st.sampled_from([*roots, sqrt_c, -sqrt_c]))
+        den = draw(st.integers(2**140, 2**400))
+        x = root + Fraction(draw(st.integers(-(den >> 70), den >> 70)), den)
+    else:
+        x = Fraction(draw(st.integers(-(2**3000), 2**3000)))
+    return _sturm_sequence(p), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(sturm_chains_and_points())
+@example((_sturm_sequence(from_coefficients(_from_roots([3, 5, -1]))), 3 - Fraction(1, 2**200 + 1)))
+@example((_sturm_sequence(from_coefficients(_from_roots([3, 3, 5]))), Fraction(3 * 2**129 - 1, 2**129)))
+def test_bracketed_sturm_count_matches_the_full_width_count(case):
+    # _variations reads a point with a long denominator at two short
+    # dyadics around it first, and at full width only when a root lies
+    # between them: the pair it returns is the full-width pair
+    sturm, x = case
+    assert _variations(sturm, x) == _full_width_variations(sturm, x)
+
+
+def test_long_points_are_read_at_full_width_only_next_to_a_root(monkeypatch):
+    # (x-3)(x-5)(x+1): a 300-bit denominator away from every root takes two
+    # reads of at most _BRACKET_BITS + 1 bits; within 2^-200 below the root
+    # 3, the bracket (3 - 2^-62, 3] holds it, and a third read is at x
+    # itself; as far above it, the bracket (3, 3 + 2^-62] holds none
+    sturm = _sturm_sequence(from_coefficients(_from_roots([3, 5, -1])))
+    read, reads = estimation._variations_at, []
+
+    def spied(sturm, a, b):
+        reads.append(max(a.bit_length(), b.bit_length()))
+        return read(sturm, a, b)
+
+    monkeypatch.setattr(estimation, "_variations_at", spied)
+    far, off = Fraction(4 * 2**300 + 1, 2**300 + 1), Fraction(1, 2**200 + 1)
+    for x, count in ((far, 2), (-far, 2), (3 + off, 2), (3 - off, 3)):
+        reads.clear()
+        assert _variations(sturm, x) == _full_width_variations(sturm, x)
+        assert len(reads) == count and max(reads[:2]) <= _BRACKET_BITS + 1
+    assert reads[2] > 200
 
 
 @pytest.mark.parametrize(
@@ -810,7 +903,7 @@ def _lands_on(run, w, x, tol_f):
     return run((w[0] - 1, 0), (1, w[1] - 1), x, 0, 100, 0, tol_f)[0]
 
 
-KERNELS_M2 = [_runner(2, 2), functools.partial(_run, 2)]  # compiled, reference
+KERNELS_M2 = [_runner(2, 2, True), functools.partial(_run, 2, True)]  # compiled, reference
 _K = 3**700  # 1110 bits: past 2^1000, and short enough for an example's repr
 
 
@@ -1181,8 +1274,8 @@ def test_count_kernel_hands_back_only_where_a_rule_may_act(monkeypatch):
     # pretest; none is there for a strip. (x-3)^2 (x+1) hands back twice
     seen = []
 
-    def counted(m, s):
-        kernel = counting._runner(m, s)
+    def counted(m, s, strip):
+        kernel = counting._runner(m, s, strip)
 
         def run(a, n, x, k, stop, c, tol_f):
             got = kernel(a, n, x, k, stop, c, tol_f)
@@ -1326,14 +1419,17 @@ def _times_x_plus_1(c, s):
 
 
 def test_compiled_kernels_match_the_plain_loop(monkeypatch):
-    # a seeded sweep of _iterate, once on the plain _run at every degree and
-    # once on the compiled kernels, each of whose calls is checked against
-    # _run on the same arguments: the same (status, k, counts) and the same
-    # hand-backs and strips. It covers s = 0..3 from (x+1)^s factors,
-    # budgets under 32 and off multiples of 32, a zero n_2 (a_1 = -2 at
-    # k = 2), counts past the double range, DegenerateStart, NoRealLimit at
-    # v_s with s >= 1, and s = 1 revisits of v_1 on the float pretest
-    # (|1 + a_1| < 2^53) and on the exact one
+    # a seeded sweep of _iterate, once on the plain _run at every degree,
+    # which always strips, and once on the compiled kernels, each of whose
+    # calls is checked against that _run on the same arguments: the same
+    # (status, k, counts) and the same hand-backs and strips. A kernel
+    # strips exactly when p = (x+1)^m mod 2, and one that does not hands
+    # back all six fields as the stripping _run does, so that _run never
+    # found a bit to drop either. It covers s = 0..3 from (x+1)^s factors,
+    # p on both sides of the mod 2 rule, budgets under 32 and off multiples
+    # of 32, a zero n_2 (a_1 = -2 at k = 2), counts past the double range,
+    # DegenerateStart, NoRealLimit at v_s with s >= 1, and s = 1 revisits of
+    # v_1 on the float pretest (|1 + a_1| < 2^53) and on the exact one
     rng = random.Random(2025)
     polys = [
         from_coefficients(_times_x_plus_1([rng.randint(-3, 3) for _ in range(d)] + [1], s))
@@ -1344,10 +1440,17 @@ def test_compiled_kernels_match_the_plain_loop(monkeypatch):
     polys += [parse_polynomial(t) for t in ("x^4 + 2x^2 - 3", "x^2 + x + 1", "x^2 - 201x + 10100",
                                             "x^3 - 5x^2 + 3x + 9")]
     polys += [_revisits_of_v_1(20, r, r) for r in (2**53 + 8, 2**53 + 9)]
+    # (x+1)^m mod 2 with no factor x + 1 over the integers, and the same
+    # with one a_i moved by 1, which leaves the rule
+    for m in (2, 3, 5, 6, 8):
+        p = _x_plus_1_mod_2(m, [rng.randint(-2, 2) for _ in range(m)])
+        i = rng.randrange(m)
+        polys += [p, MonicPolynomial(tuple(x + (j == i) for j, x in enumerate(p.a)))]
     seen = set()
 
-    def checked(m, s):
-        compiled, plain = counting._runner(m, s), functools.partial(_run, s)
+    def checked(p, m, s, strip):
+        assert strip == all((x - math.comb(m, i)) % 2 == 0 for i, x in enumerate(p.a, 1))
+        compiled, plain = counting._runner(m, s, strip), functools.partial(_run, s, True)
 
         def run(*args):
             got, want = compiled(*args), plain(*args)
@@ -1355,6 +1458,7 @@ def test_compiled_kernels_match_the_plain_loop(monkeypatch):
             assert _same_float(got[3], want[3]) and _same_float(got[4], want[4])
             n = got[2]
             seen.add(("s", s))
+            seen.add(("strip", strip))
             seen.add(("stripped", got[5] > 0))
             if s == 1 and got[0] < args[4] and n[0] == n[1] * args[5]:
                 seen.add(("s = 1 revisit, float pretest", abs(args[5]) < 2**53))
@@ -1367,17 +1471,20 @@ def test_compiled_kernels_match_the_plain_loop(monkeypatch):
     for p in polys:
         for max_iters in (1, 5, 31, 33, 47, 100, 3000):
             for tol in (TOL, Fraction(1, 1000), Fraction(1), Fraction(10**400)):
-                monkeypatch.setattr(estimation, "_runner", lambda m, s: functools.partial(_run, s))
+                monkeypatch.setattr(estimation, "_runner",
+                                    lambda m, s, strip: functools.partial(_run, s, True))
                 want = _iterate(p, max_iters, tol)
-                monkeypatch.setattr(estimation, "_runner", checked)
+                monkeypatch.setattr(estimation, "_runner", functools.partial(checked, p))
                 assert _iterate(p, max_iters, tol) == want
                 seen.add(want[0])
     assert {("s", s) for s in range(4)} | {("zero n_2", True), ("past doubles", True)} <= seen
-    assert {("stripped", True), ("s = 1 revisit, float pretest", True),
-            ("s = 1 revisit, float pretest", False)} <= seen
+    assert {("strip", False), ("strip", True), ("stripped", True),
+            ("s = 1 revisit, float pretest", True), ("s = 1 revisit, float pretest", False)} <= seen
     assert set(Status) <= seen
     # one of the sweep's NoRealLimit runs is at v_s with s = 1: d_7 = d_1
-    assert _iterate(parse_polynomial("x^4 + 2x^2 - 3"), 60, TOL)[:2] == (Status.NO_REAL_LIMIT, 7)
+    p = parse_polynomial("x^4 + 2x^2 - 3")
+    monkeypatch.setattr(estimation, "_runner", functools.partial(checked, p))
+    assert _iterate(p, 60, TOL)[:2] == (Status.NO_REAL_LIMIT, 7)
 
 
 def test_stripped_loop_returns_the_raw_counts_of_a_deep_run():

@@ -17,11 +17,14 @@ and CLI byte these cases reach. The cases:
   history entry), and oracle_largest_real_root at 10^-12;
 - the seeded dense and squared-quadratic polynomials that the tier-1 pin
   DENSE_ORACLE_SHA256 draws, the same way, at tol 10^-6;
+- the four bench deep polynomials at budget 20000, whose estimates carry
+  15600-bit terms, and the seeded dense polynomials of degree 24, 48 and 96
+  (random.Random(3)) at tol 10^-6 and budget 5000: estimate_root as above;
 - `symroot run` on the eight bench corpus polynomials in the table, json and
   tsv formats: the exit code and the SHA-256 of stdout, each in a fresh
   interpreter with DIR on PYTHONPATH.
 
-Standard library only; --src takes about 15 s on a 2-vCPU host (Python 3.11).
+Standard library only; --src takes about 20 s on a 2-vCPU host (Python 3.11).
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ CORPUS = (
     "x^3 - 5x^2 + 3x + 9",
     "x^12 - x - 1",
     "x^24 - 3x^23 + x^5 - 7",
+)
+DEEP = (
+    "x^2 - 201x + 10100",
+    "x^3 - 200x^2 + 9899x + 10100",
+    "x^3 - 5x^2 + 3x + 9",
+    "x^12 - x - 1",
 )
 FORMATS = ("table", "json", "tsv")
 ORACLE_PRECISION = Fraction(1, 10**12)
@@ -99,6 +108,14 @@ def cases(src: Path):
         rep = symroot.estimate_root(p, tol=Fraction(1, 10**6))
         yield f"dense {i} estimate a={p.a}", _report(rep)
         yield f"dense {i} oracle a={p.a}", symroot.oracle_largest_real_root(p, ORACLE_PRECISION)
+    for text in DEEP:
+        rep = symroot.estimate_root(symroot.parse_polynomial(text), max_iters=20000)
+        yield f"deep {text!r} iters=20000", _report(rep)
+    rng = random.Random(3)  # the draw of tests/test_estimation.py's _dense_polys
+    for m in (24, 48, 96):
+        p = MonicPolynomial(tuple(rng.randint(-9, 9) for _ in range(m - 1)) + (rng.randint(1, 9),))
+        rep = symroot.estimate_root(p, tol=Fraction(1, 10**6), max_iters=5000)
+        yield f"dense degree {m} iters=5000 tol=1/10^6", _report(rep)
     env = {**os.environ, "PYTHONPATH": str(src)}
     for text, fmt in itertools.product(CORPUS, FORMATS):
         run = subprocess.run([sys.executable, "-m", "symroot.cli", "run", "--poly", text,
