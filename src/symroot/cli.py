@@ -24,10 +24,15 @@ from .estimation import (
     DEFAULT_TOL,
     ConvergenceReport,
     Status,
-    _any_int_digits,
     estimate_root,
 )
-from .polynomial import MAX_EXPONENT, MonicPolynomial, from_coefficients, parse_polynomial
+from .polynomial import (
+    MAX_EXPONENT,
+    MonicPolynomial,
+    _any_int_digits,
+    from_coefficients,
+    parse_polynomial,
+)
 from .rewriting import (
     MINUS,
     PLUS,

@@ -7,8 +7,8 @@ and rationals; floats and the counts' top bits only decide comparisons whose
 answer a proved error bound already fixes, and floats appear otherwise only
 in rendered output. An independent oracle, a grid scan certified by a Sturm
 sequence of integer polynomials and then one bisection on its count, finds
-the largest real root, repeated and close roots included; the scan starts
-above a bound that follows the positive roots, not at the coefficient
+the largest real root, repeated and close roots included; the scan runs
+between bounds on the negative and positive roots, not the coefficient
 bound. The same count decides whether the ratios landed on it, because the
 dominant direction can belong to a root other than the largest real one.
 """
@@ -16,10 +16,8 @@ dominant direction can belong to a root other than the largest real one.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
@@ -27,7 +25,7 @@ from operator import index, mul
 
 from .counting import CountVector, _runner, _step
 from .errors import DegreeTooSmallError, InvalidOptionError
-from .polynomial import FrozenValue, MonicPolynomial
+from .polynomial import FrozenValue, MonicPolynomial, _any_int_digits
 
 TYPE_CHECKING = False  # typing costs a run's import time; type checkers read it
 if TYPE_CHECKING:
@@ -111,23 +109,6 @@ class History(FrozenValue, Sequence):
     def __getitem__(self, i: int) -> tuple[RatioEstimate, ...]:
         k = range(self.length)[index(i)]  # IndexError past either end
         return self.last if k == self.length - 1 else next(islice(self, k, None))
-
-
-@contextmanager
-def _any_int_digits():
-    # options and coefficients on input and exact counts on deep runs pass
-    # CPython's int<->str digit limit (4300 by default); lift it for one
-    # command or one JSON document and restore the caller's. Pythons without
-    # the setter (3.10.0-3.10.6) have no limit.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 class ConvergenceReport(FrozenValue):
@@ -500,10 +481,6 @@ def estimate_root(
 
 
 _GRID_CELLS = 8192
-# the grid scan asks the Sturm count whether any root is left below it once
-# every so many cells: a scan that stops within the first 1024 cells pays
-# no count, and one that walks them all pays at most eight, V(-B) included
-_SCAN_CHECK_EVERY = 1024
 # halvings of the window before the nearest-root test gives up; each costs a
 # few Sturm counts, and only runs that no cheaper test decides reach it
 _NEAREST_HALVINGS = 64
@@ -616,7 +593,10 @@ def _variations_at(sturm: list[list[int]], a: int, b: int) -> tuple[int, bool]:
     # (V, p = 0) at a/b, b > 0, in one pass. Member q of degree d is read
     # as b^d q(a/b) = sum c_i a^(d-i) b^i, of q(a/b)'s sign, by homogeneous
     # Horner with no Fraction to reduce, the powers of b shared by every
-    # member; a/b need not be in lowest terms
+    # member; a/b need not be in lowest terms. b = 0 reads c_0 a^d, q's sign
+    # at the point at infinity: a = 1 gives V(+oo) and a = -1 V(-oo), which
+    # equal V(B) and V(-B) for B = _cauchy_bound, as every root lies inside
+    # (-B, B)
     b_pows = list(accumulate(repeat(b, len(sturm[0]) - 1), mul))
     values = []
     for q in sturm:
@@ -667,11 +647,12 @@ def _cross_check(
     p: MonicPolynomial, final: Fraction, tol: Fraction
 ) -> tuple[Fraction | None, bool]:
     # the oracle's root, within tol of the largest real root r, and whether r
-    # is the real root nearest final, from one Sturm chain and one V(B). hi is
-    # final + |final - root| + tol >= r, summed with no gcd of two long
-    # denominators (0.04 against 0.37 ms on close_pair's 15600-bit final)
+    # is the real root nearest final, from one Sturm chain and its count at
+    # +oo, V(B). hi is final + |final - root| + tol >= r, summed with no gcd
+    # of two long denominators (0.04 against 0.37 ms on close_pair's
+    # 15600-bit final)
     sturm = _sturm_sequence(p)
-    v_top = _variations(sturm, _cauchy_bound(p))[0]
+    v_top = _variations_at(sturm, 1, 0)[0]
     root = _largest_real_root(p, tol, sturm, v_top)
     if root is None:
         return None, False  # with no real root, final has none to agree with
@@ -683,25 +664,25 @@ def oracle_largest_real_root(p: MonicPolynomial, precision) -> Fraction | None:
     """Largest real root to within `precision`, or None if p has none.
 
     Every root lies strictly inside (-B, B) for the coefficient bound
-    B = 1 + max |c_k| (Cauchy), and no root lies above the local-max-quadratic
-    bound U on the positive roots (Akritas, Strzebonski & Vigklas 2008), 0
-    when no coefficient is negative. The scan walks the grid of 8192 cells
-    over [-B, B] from the right, starting at the first grid point above
-    min(B, U), and stops at the first grid zero or sign change.
-    A Sturm sequence of p, each member an integer polynomial whose signs are
-    read by integer Horner, then counts the distinct roots to the right of
-    that point, repeated roots included. Every 1024 cells the scan also asks
-    the count whether any root is left below it; if none is, it ends at -B at
-    once, where the full scan would end. A grid zero with none to its right
-    is returned exactly. Otherwise the largest root is bisected on the Sturm
-    count to a half-width of `precision`: inside the cell when its sign change
-    is the only root to the right, and from B down otherwise (several roots
-    in one cell, a root of even multiplicity, or a root right of a grid zero).
-    A midpoint that is the largest root is returned exactly.
+    B = 1 + max |c_k| (Cauchy), and in [-L, U] for the local-max-quadratic
+    bounds U on the positive roots and L on those of p(-x) (Akritas,
+    Strzebonski & Vigklas 2008), 0 with no negative coefficient. A Sturm
+    sequence of p, integer polynomials whose signs integer Horner reads,
+    counts distinct roots, repeated ones included; its leading coefficients
+    give the counts at -B and B, which are equal when p has no real root.
+    The scan walks the grid of 8192 cells over [-B, B] from the first grid
+    point above min(B, U) leftwards to the first grid zero or sign change. A
+    grid zero with no root to its right is returned exactly. Otherwise the
+    largest root is bisected on the count to a half-width of `precision`:
+    inside the cell when its sign change is the only root to the right, and
+    from B down otherwise: several roots in one cell, a root right of a grid
+    zero, or p > 0 at every grid point down to -L, below which p keeps its
+    sign (roots of even multiplicity only, or in one cell with another). A
+    midpoint that is the largest root is returned exactly.
     """
     precision = _positive(precision, "precision")
     sturm = _sturm_sequence(p)
-    return _largest_real_root(p, precision, sturm, _variations(sturm, _cauchy_bound(p))[0])
+    return _largest_real_root(p, precision, sturm, _variations_at(sturm, 1, 0)[0])
 
 
 def _largest_real_root(
@@ -709,56 +690,48 @@ def _largest_real_root(
 ) -> Fraction | None:
     if p.degree == 1:
         return Fraction(p.a[0])
+    if _variations_at(sturm, -1, 0)[0] == v_top:
+        return None  # V(-B) = V(B): no real root
     bound = _cauchy_bound(p)
     step = Fraction(2 * bound, _GRID_CELLS)
-    # the scan starts below hi, the first grid point above min(B, U), or B.
-    # p is monic with no root above min(B, U), so p > 0 at hi and at every
-    # grid point a scan from B would walk before it: the first grid point
-    # with p <= 0 from the right is the rightmost grid zero or the left end
-    # of the rightmost sign change, where a full scan from -B would settle.
-    # Failing both, lo ends at -B with p(-B) > 0; a skipped checkpoint could
-    # fire only if p had no real root, and then the scan ends at -B anyway
+    # the scan walks down from hi, the first grid point above min(B, U), to
+    # the last one at or below -L, L = min(B, U') for the bound U' of
+    # (-1)^m p(-x), whose a_i are (-1)^i a_i. p is monic with no root above
+    # min(B, U), so p > 0 at hi and at every grid point a scan from B would
+    # walk before it: the first grid point with p <= 0 from the right is the
+    # rightmost grid zero or the left end of the rightmost sign change, where
+    # a full scan from B would stop
+    flipped = MonicPolynomial(tuple(-x if i % 2 else x for i, x in enumerate(p.a, 1)))
     start = min(math.floor((_root_bound(p) + bound) / step) + 1, _GRID_CELLS)
+    end = math.floor((bound - _root_bound(flipped)) / step)
     hi = Fraction(-bound) + step * start
-    top = Fraction(bound)
-    # the counts read so far, by point: V(-B), read at the first checkpoint
-    # the scan reaches, and every checkpoint's, which the scan's end and the
-    # bisection's first midpoints can meet again. p(lo) > 0 at every
-    # checkpoint, so the pairs there are equal when the counts are
-    seen = {}
-    for t in range(start - 1, -1, -1):
+    for t in range(start - 1, end - 1, -1):
         lo = Fraction(-bound) + step * t
         flo = p.eval_at(lo)
         if flo <= 0:
+            right = _variations(sturm, lo)[0] - v_top  # distinct roots in (lo, B]
+            if right == 0:
+                return lo  # p(lo) = 0: p(lo) < 0 would leave a root above lo
+            if flo == 0 or right > 1:
+                # the cell's sign change, from p(lo) < 0 to p(hi) > 0, is the
+                # largest root only when it is the one root right of lo;
+                # otherwise (several roots right of lo, or lo a grid zero)
+                # the largest root lies somewhere in (lo, B]
+                hi = Fraction(bound)
             break
-        if t and t % _SCAN_CHECK_EVERY == 0:
-            # no root in (-B, lo], as V(-B) = V(lo) shows, and p(lo) > 0: p
-            # stays positive down to -B, so the scan would end there without
-            # a break. Take that end state now (hi is read only after a
-            # break on p(lo) < 0)
-            if not seen:
-                seen[-bound] = _variations(sturm, -bound)
-            seen[lo] = _variations(sturm, lo)
-            if seen[lo] == seen[-bound]:
-                lo = Fraction(-bound)
-                flo = p.eval_at(lo)
-                break
         hi = lo
-    right = (seen.get(lo) or _variations(sturm, lo))[0] - v_top  # distinct roots in (lo, B]
-    if right == 0:
-        return lo if flo == 0 else None
-    if flo >= 0 or right > 1:
-        # the cell's sign change, from p(lo) < 0 to p(hi) > 0, is the largest
-        # root only when it is the one root right of lo; otherwise (several
-        # roots right of lo, lo a grid zero, or lo = -B past roots of even
-        # multiplicity only) the largest root lies somewhere in (lo, B]
-        hi = top
+    else:
+        # p > 0 at lo <= -L, with no root below -L, so p > 0 at every grid
+        # point down to -B: the full scan would end at -B with no break,
+        # having passed every root, of even multiplicity or in one cell
+        # with another, and V(-B) - V(B) > 0 of them lie in (-B, B]
+        lo, hi = Fraction(-bound), Fraction(bound)
     # bisect on the count, keeping the largest root in (lo, hi]: a root lies
     # above mid exactly when V(mid) > v_top = V(B), and with none above,
     # p(mid) = 0, read in the same pass, makes mid the root
     while hi - lo > 2 * precision:
         mid = (lo + hi) / 2
-        v_mid, at_root = seen.get(mid) or _variations(sturm, mid)
+        v_mid, at_root = _variations(sturm, mid)
         if v_mid > v_top:
             lo = mid
         elif at_root:

@@ -11,6 +11,8 @@ by x + 1.
 from __future__ import annotations
 
 import operator
+import sys
+from contextlib import contextmanager
 
 from .errors import (
     EmptyInputError,
@@ -37,6 +39,24 @@ def _exact_int(value, context: str) -> int:
         return operator.index(value)
     except TypeError:
         raise NonIntegerCoefficientError(f"{context} = {value!r} is not an exact integer") from None
+
+
+@contextmanager
+def _any_int_digits():
+    # options, coefficients and exponents on input, rendered coefficients and
+    # the exact counts of deep runs pass CPython's int<->str digit limit
+    # (4300 by default); lift it for one parse, one rendering, one command or
+    # one JSON document and restore the caller's. Pythons without the setter
+    # (3.10.0-3.10.6) have no limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class FrozenValue:
@@ -100,6 +120,7 @@ class MonicPolynomial(FrozenValue):
             value = value * x - coeff
         return value
 
+    @_any_int_digits()
     def render(self) -> str:
         """Canonical text form, e.g. "x^3 - 2x - 5"; parses back to self."""
         m = self.degree
@@ -130,6 +151,7 @@ def _power_text(k: int) -> str:
 _DIGITS = frozenset("0123456789")
 
 
+@_any_int_digits()
 def parse_polynomial(text: str) -> MonicPolynomial:
     """Parse text like "x^3 - 2x - 5" into a MonicPolynomial.
 
@@ -152,14 +174,14 @@ def parse_polynomial(text: str) -> MonicPolynomial:
         while pos < n and text[pos].isspace():
             pos += 1
 
-    def read_uint() -> int:
+    def read_digits() -> str:
         nonlocal pos
         start = pos
         while pos < n and text[pos] in _DIGITS:
             pos += 1
         if pos == start:
             raise PolynomialSyntaxError("expected an unsigned integer", start)
-        return int(text[start:pos])
+        return text[start:pos]
 
     def read_term(sign: int) -> None:
         nonlocal pos
@@ -167,7 +189,7 @@ def parse_polynomial(text: str) -> MonicPolynomial:
         power = 0
         have_coef = False
         if pos < n and text[pos] in _DIGITS:
-            coef = read_uint()
+            coef = int(read_digits())
             have_coef = True
             skip_ws()
             if pos < n and text[pos] == "*":
@@ -183,9 +205,12 @@ def parse_polynomial(text: str) -> MonicPolynomial:
                 pos += 1
                 skip_ws()
                 start = pos
-                power = read_uint()
-                if power > MAX_EXPONENT:
+                digits = read_digits()
+                # by its digit count before int(), whose time grows faster
+                # than the length of a long exponent
+                if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                     raise ExponentTooLargeError(f"exponent above {MAX_EXPONENT}", start)
+                power = int(digits)
         elif not have_coef:
             raise PolynomialSyntaxError("expected a term", pos)
         coeffs[power] = coeffs.get(power, 0) + sign * coef

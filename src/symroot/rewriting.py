@@ -40,7 +40,8 @@ def letter(index: int, sign: int) -> int:
     """The letter with a 1-based index and a sign: index for PLUS, -index for MINUS."""
     if isinstance(index, bool) or not isinstance(index, int) or index < 1:
         raise IndexOutOfRangeError(f"letter index must be a positive integer, got {index!r}")
-    if sign not in (PLUS, MINUS):
+    # True and 1.0 equal PLUS; they are rejected as a bool index is
+    if isinstance(sign, bool) or not isinstance(sign, int) or sign not in (PLUS, MINUS):
         raise InvalidOptionError(f"sign must be PLUS or MINUS, got {sign!r}")
     return index if sign == PLUS else -index
 
@@ -134,8 +135,10 @@ def rewrite(rule: ReplacementRule, w: Word, cap: int = WORD_CAP_DEFAULT) -> Word
 
     The output length is known from the letter tally and the run lengths of
     the images alone, so the cap is checked before any image or output is
-    expanded.
+    expanded. cap must be a positive integer, as --word-cap must.
     """
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise InvalidOptionError(f"cap must be a positive integer, got {cap!r}")
     tally = Counter(w.letters)
     images = {l: rule.image(l) for l in tally}
     predicted = sum(k * sum(r for _, r in images[l]) for l, k in tally.items())

@@ -384,36 +384,46 @@ def test_sturm_members_are_primitive_integer_polynomials():
 
 
 def test_cross_check_reads_each_sturm_point_once(monkeypatch):
-    # the oracle and the agreement rule share one count at B, the oracle's
-    # bisection reads p(mid) = 0 off the count at mid, each agreement
-    # window is counted at its left end alone, and a scan that a checkpoint
-    # ends at -B reuses V(-B) and the checkpoints' counts, which the
-    # bisection from (-B, B) meets again as its first midpoints. 18 passes
-    # at 18 distinct points on the seeded dense degree-48 polynomial
-    # (Converged at tol 10^-6, agreement False); close_pair's 20000-step run
-    # ends its scan at the checkpoint x = 0, and the oracle on x^2 + 1, with
-    # no real root, at V(0) = V(-B)
+    # the oracle and the agreement rule share one Sturm chain, whose counts
+    # at -B and B come from its leading coefficients with no read; the
+    # scan reads its break point, the oracle's bisection reads p(mid) = 0
+    # off the count at mid, strictly inside its window, and each agreement
+    # window is counted at its left end alone. At most 18 passes at
+    # distinct points on the seeded dense degree-48 polynomial (Converged at
+    # tol 10^-6, agreement False); close_pair's 20000-step run, whose roots
+    # 100 and 101 share a grid cell, scans down to -L and bisects from
+    # (-B, B]; the oracle on x^2 + 1, with no real root, reads nothing and
+    # evaluates no grid cell
     p = _dense_polys(random.Random(3), (24, 48))[1]
-    points = []
+    points, cells = [], []
+    eval_at = MonicPolynomial.eval_at
 
     def counted(sturm, x):
         points.append(x)
         return _variations(sturm, x)
 
+    def counted_eval(self, x):
+        cells.append(x)
+        return eval_at(self, x)
+
     monkeypatch.setattr(estimation, "_variations", counted)
+    monkeypatch.setattr(MonicPolynomial, "eval_at", counted_eval)
     rep = estimate_root(p, tol=Fraction(1, 10**6), max_iters=5000)
     assert rep.status is Status.CONVERGED and rep.oracle_agreement is False
-    assert points.count(_cauchy_bound(p)) == 1
+    bound = _cauchy_bound(p)
+    assert bound not in points and -bound not in points
     assert len(points) <= 18 and len(set(points)) == len(points)
     points.clear()
     p = parse_polynomial("x^2 - 201x + 10100")
     rep = estimate_root(p, max_iters=20000)
     assert rep.status is Status.CONVERGED and rep.oracle_agreement is True
-    assert 0 in points and -_cauchy_bound(p) in points
+    bound = _cauchy_bound(p)
+    assert bound not in points and -bound not in points
     assert len(set(points)) == len(points)
     points.clear()
+    cells.clear()
     assert oracle_largest_real_root(parse_polynomial("x^2 + 1"), TOL) is None
-    assert len(points) == 3 and len(set(points)) == 3
+    assert points == [] and cells == []
 
 
 def _close_pair_sample():
@@ -434,13 +444,14 @@ def _close_pair_sample():
 
 @pytest.mark.parametrize("coeffs", _close_pair_sample(), ids=str)
 def test_oracle_on_close_pairs_matches_sympy(coeffs, monkeypatch):
-    # the scan that stops at a Sturm checkpoint ends where the full scan
-    # ends, and both give sympy's largest real root
+    # the scan between the two root bounds, which often passes both roots
+    # of the pair in one cell, ends where the full scan from B to -B ends,
+    # and both give sympy's largest real root
     sympy = pytest.importorskip("sympy")
     p = from_coefficients(coeffs)
     got = oracle_largest_real_root(p, TOL)
     assert abs(got - _sympy_largest_real_root(sympy, coeffs)) <= 2 * TOL
-    monkeypatch.setattr(estimation, "_SCAN_CHECK_EVERY", 10**9)  # never checks
+    monkeypatch.setattr(estimation, "_root_bound", _cauchy_bound)  # scans all of [-B, B]
     assert oracle_largest_real_root(p, TOL) == got
 
 
@@ -451,18 +462,20 @@ def test_oracle_on_close_pairs_matches_sympy(coeffs, monkeypatch):
             lambda roots: from_coefficients(_from_roots(roots))
         ),
         small_polys,
+        st.lists(st.integers(-6, 6), min_size=1, max_size=2).map(
+            lambda roots: from_coefficients(_from_roots(roots + roots))
+        ),
     ),
-    st.sampled_from((1, 5, 64)),
 )
-def test_stopped_scan_ends_where_the_full_scan_ends(p, every):
-    # integer roots (repeated ones too) or small coefficients, checked at
-    # every cell, every 5th or every 64th: the oracle answers as the scan
-    # with no checkpoint does
+def test_stopped_scan_ends_where_the_full_scan_ends(p):
+    # integer roots (repeated ones too, or all of even multiplicity, where
+    # p > 0 at every grid point) or small coefficients: the scan that stops
+    # at the last grid point at or below -L answers as the scan from B down
+    # to -B does
+    got = oracle_largest_real_root(p, TOL)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimation, "_SCAN_CHECK_EVERY", 10**9)
-        full = oracle_largest_real_root(p, TOL)
-        mp.setattr(estimation, "_SCAN_CHECK_EVERY", every)
-        assert oracle_largest_real_root(p, TOL) == full
+        mp.setattr(estimation, "_root_bound", _cauchy_bound)
+        assert oracle_largest_real_root(p, TOL) == got
 
 
 def _sympy_largest_real_root(sympy, coeffs):
@@ -549,13 +562,20 @@ def test_scan_from_the_root_bound_ends_where_the_scan_from_b_ends(p):
                          ids=str)
 def test_root_bound_is_above_every_real_root(coeffs):
     # sympy counts the roots in [bound, oo) on its own; one there must be
-    # the bound itself, which only a bound of 0 can be
+    # the bound itself, which only a bound of 0 can be. The bound L of
+    # (-1)^m p(-x), whose a_i are (-1)^i a_i, likewise leaves no root of p
+    # in (-oo, -L]
     sympy = pytest.importorskip("sympy")
-    bound = _root_bound(from_coefficients(coeffs))
+    p = from_coefficients(coeffs)
+    bound = _root_bound(p)
+    low = _root_bound(MonicPolynomial(tuple((-1) ** i * x for i, x in enumerate(p.a, 1))))
     poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
     at = sympy.Rational(bound.numerator, bound.denominator)
-    assert 0 <= bound <= _cauchy_bound(from_coefficients(coeffs))
+    assert 0 <= bound <= _cauchy_bound(p)
     assert poly.count_roots(at) == (poly.eval(at) == 0)
+    at = sympy.Rational(-low.numerator, low.denominator)
+    assert 0 <= low <= _cauchy_bound(p)
+    assert poly.count_roots(None, at) == (poly.eval(at) == 0)
 
 
 def test_root_bound_pins():
@@ -568,6 +588,25 @@ def test_root_bound_pins():
     # (x-3)^2 (x+1): 2 * 5 = 10 is B itself
     p = parse_polynomial("x^3 - 5x^2 + 3x + 9")
     assert _root_bound(p) == _cauchy_bound(p) == 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(
+            lambda roots: from_coefficients(_from_roots(roots))
+        ),
+        small_polys,
+        sparse_polys,
+    )
+)
+def test_counts_at_infinity_are_the_counts_at_the_coefficient_bound(p):
+    # b = 0 reads each member's sign at +-oo off its leading coefficient and
+    # degree; every root of p lies inside (-B, B), so the counts at +-B are
+    # the same, p(+-B) != 0 included
+    sturm, bound = _sturm_sequence(p), _cauchy_bound(p)
+    for sign in (1, -1):
+        assert estimation._variations_at(sturm, sign, 0) == _variations(sturm, sign * bound)
 
 
 def _sqrt_in(c, a, b):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,27 @@ def test_parse_exponent_bound():
         assert e.value.offset == offset
 
 
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_parse_reads_numbers_past_the_int_digit_limit():
+    # CPython refuses int() of more than 4300 digits by default; the parser
+    # lifts that limit for its own call and restores the caller's
+    limit = _digit_limit()
+    assert parse_polynomial("x^2 - " + "7" * 5000).a == (0, 7 * (10**5000 - 1) // 9)
+    assert _digit_limit() == limit
+
+
+def test_parse_rejects_a_long_exponent_by_its_digits():
+    # ExponentTooLargeError at the exponent, not the digit limit's
+    # ValueError; leading zeros do not count
+    with pytest.raises(ExponentTooLargeError) as e:
+        parse_polynomial("x^" + "9" * 5000)
+    assert e.value.offset == 2
+    assert parse_polynomial("x^" + "0" * 5000 + "2 - 1").degree == 2
+
+
 def test_parse_degree_errors():
     with pytest.raises(ZeroDegreeError):
         parse_polynomial("5")
@@ -138,6 +160,12 @@ def test_render():
     assert MonicPolynomial((0, 0, 2)).render() == "x^3 - 2"
     assert MonicPolynomial((-2,)).render() == "x + 2"
     assert MonicPolynomial((0,)).render() == "x"
+
+
+def test_render_writes_numbers_past_the_int_digit_limit():
+    limit = _digit_limit()
+    assert MonicPolynomial((1, 10**5000)).render() == "x^2 - x - 1" + "0" * 5000
+    assert _digit_limit() == limit
 
 
 coeff_lists = st.lists(st.integers(min_value=-10, max_value=10), min_size=1, max_size=8)

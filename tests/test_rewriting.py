@@ -15,7 +15,8 @@ from symroot import (
     letter,
     rewrite,
 )
-from symroot.errors import IndexOutOfRangeError
+from symroot.counting import verify_commutation
+from symroot.errors import IndexOutOfRangeError, InvalidOptionError
 from symroot.polynomial import MonicPolynomial
 from symroot.rewriting import letter_text
 
@@ -171,9 +172,23 @@ def test_letter_validation():
     for index in (0, -1, True, 1.0, "1"):
         with pytest.raises(IndexOutOfRangeError):
             letter(index, PLUS)
-    for sign in (0, 2, -2, None):
-        with pytest.raises(ValueError):
+    for sign in (0, 2, -2, None, True, False, 1.0, -1.0):
+        with pytest.raises(InvalidOptionError):
             letter(1, sign)
+
+
+@pytest.mark.parametrize("cap", [True, 0, -1, 2.5, None, "x"])
+def test_rewrite_rejects_a_cap_that_is_no_positive_integer(cap):
+    # the --word-cap rule: a non-bool int >= 1, checked by rewrite, and so
+    # for iterate_words and verify_commutation too
+    rule, w0 = build_rule(MonicPolynomial((1, 1))), default_initial_word()
+    for call in (
+        lambda: rewrite(rule, w0, cap=cap),
+        lambda: iterate_words(rule, w0, 2, cap=cap),
+        lambda: verify_commutation(rule, w0, cap=cap),
+    ):
+        with pytest.raises(InvalidOptionError):
+            call()
 
 
 small_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(
